@@ -9,9 +9,8 @@
 //! from `mepipe_sim::commcheck` — the loop that validates the emulator
 //! against the simulator's alpha-beta link model on live traffic.
 
-use std::time::Instant;
-
 use criterion::black_box;
+use mepipe_bench::timer::{time, Sampling};
 use mepipe_comm::{Backend, CodecId, TransportConfig};
 use mepipe_core::svpp::Mepipe;
 use mepipe_hw::LinkSpec;
@@ -22,28 +21,6 @@ use mepipe_tensor::init::synthetic_tokens;
 use mepipe_train::{
     metrics::run_metrics, params::ModelParams, pipeline::WgradMode, PipelineRuntime, RunStats,
 };
-
-/// Seconds per iteration: minimum over several samples (same estimator
-/// as `train.rs` — interference only ever adds time).
-fn time<F: FnMut()>(mut f: F) -> f64 {
-    let warm = Instant::now();
-    f();
-    let once = warm.elapsed().as_secs_f64();
-    let per_sample = if once <= 0.0 {
-        4
-    } else {
-        ((0.5 / once) as usize).clamp(1, 8)
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..per_sample {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / per_sample as f64);
-    }
-    best
-}
 
 const STAGES: usize = 2;
 const SLICES: usize = 4;
@@ -128,7 +105,7 @@ fn main() {
             println!("smoke: {name} ok, loss {:.4}", stats.loss);
             continue;
         }
-        let secs = time(|| {
+        let secs = time(Sampling::STEP, || {
             black_box(run());
         });
         let stats = run();
@@ -235,10 +212,10 @@ fn run_gate(
     // (a) perf: best ratio over a few attempts beats noise on a busy box.
     let mut best = f64::INFINITY;
     for attempt in 1..=GATE_ATTEMPTS {
-        let inproc = time(|| {
+        let inproc = time(Sampling::STEP, || {
             black_box(iterate(TransportConfig::in_proc())());
         });
-        let socket = time(|| {
+        let socket = time(Sampling::STEP, || {
             black_box(iterate(uds_f32.clone())());
         });
         let ratio = socket / inproc;

@@ -4,9 +4,8 @@
 //! speedups quoted in README/DESIGN stay reproducible from one command
 //! (`scripts/bench_kernels.sh`).
 
-use std::time::Instant;
-
 use criterion::black_box;
+use mepipe_bench::timer::{time, Sampling};
 use mepipe_tensor::{
     init::{rng, uniform},
     ops::{
@@ -15,31 +14,6 @@ use mepipe_tensor::{
     },
     KernelPool, Tensor,
 };
-
-/// Seconds per iteration: the *minimum* over several short samples.
-/// The min, not the mean, is the noise-robust estimator on a shared
-/// machine — interference only ever adds time, so the fastest sample is
-/// the closest to the op's true cost.
-fn time<F: FnMut()>(mut f: F) -> f64 {
-    let warm = Instant::now();
-    f();
-    let once = warm.elapsed().as_secs_f64();
-    // ~60 ms per sample, 7 samples (bounded for very slow ops).
-    let per_sample = if once <= 0.0 {
-        16
-    } else {
-        ((0.06 / once) as usize).clamp(1, 50)
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..7 {
-        let start = Instant::now();
-        for _ in 0..per_sample {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / per_sample as f64);
-    }
-    best
-}
 
 fn gflops(m: usize, n: usize, k: usize, secs: f64) -> f64 {
     2.0 * (m * n * k) as f64 / secs / 1e9
@@ -58,16 +32,16 @@ fn main() {
         let a = uniform(n, n, 1.0, &mut r);
         let b = uniform(n, n, 1.0, &mut r);
         let dc = uniform(n, n, 1.0, &mut r);
-        let t_naive = time(|| {
+        let t_naive = time(Sampling::KERNEL, || {
             black_box(naive::matmul(&a, &b));
         });
-        let t_kernel = time(|| {
+        let t_kernel = time(Sampling::KERNEL, || {
             black_box(matmul_in(&serial, &a, &b));
         });
-        let t_dgrad = time(|| {
+        let t_dgrad = time(Sampling::KERNEL, || {
             black_box(matmul_dgrad_in(&serial, &dc, &b));
         });
-        let t_wgrad = time(|| {
+        let t_wgrad = time(Sampling::KERNEL, || {
             black_box(matmul_wgrad_in(&serial, &a, &dc));
         });
         let speedup = t_naive / t_kernel;
@@ -96,7 +70,7 @@ fn main() {
         let mut r = rng(1);
         let a = uniform(n, n, 1.0, &mut r);
         let b = uniform(n, n, 1.0, &mut r);
-        let t_kernel = time(|| {
+        let t_kernel = time(Sampling::KERNEL, || {
             black_box(matmul_in(&serial, &a, &b));
         });
         println!(
@@ -123,7 +97,7 @@ fn main() {
     let mut base = 0.0f64;
     for (i, workers) in [1usize, 2, 4].into_iter().enumerate() {
         let pool = KernelPool::new(workers);
-        let t = time(|| {
+        let t = time(Sampling::KERNEL, || {
             black_box(matmul_in(&pool, &a, &b));
         });
         if workers == 1 {
@@ -152,18 +126,18 @@ fn main() {
     let k = uniform(offset + t_len, d, 1.0, &mut r);
     let v = uniform(offset + t_len, d, 1.0, &mut r);
     let dout = uniform(t_len, d, 1.0, &mut r);
-    let t_fwd_naive = time(|| {
+    let t_fwd_naive = time(Sampling::KERNEL, || {
         black_box(naive::causal_attention(&q, &k, &v, offset));
     });
-    let t_fwd = time(|| {
+    let t_fwd = time(Sampling::KERNEL, || {
         black_box(causal_attention_in(&serial, &q, &k, &v, offset));
     });
     let (_, saved) = causal_attention_in(&serial, &q, &k, &v, offset);
     let (_, probs) = naive::causal_attention(&q, &k, &v, offset);
-    let t_bwd_naive = time(|| {
+    let t_bwd_naive = time(Sampling::KERNEL, || {
         black_box(naive::causal_attention_backward(&dout, &q, &k, &v, &probs));
     });
-    let t_bwd = time(|| {
+    let t_bwd = time(Sampling::KERNEL, || {
         black_box(causal_attention_backward_in(
             &serial, &dout, &q, &k, &v, &saved,
         ));
@@ -185,12 +159,12 @@ fn main() {
     let mut r = rng(4);
     let x = uniform(512, 1024, 1.0, &mut r);
     let w = Tensor::from_vec(1, 1024, vec![1.0; 1024]);
-    let t_rms = time(|| {
+    let t_rms = time(Sampling::KERNEL, || {
         black_box(rmsnorm_in(&serial, &x, &w));
     });
     let logits = uniform(512, 1024, 1.0, &mut r);
     let targets: Vec<usize> = (0..512).map(|i| i % 1024).collect();
-    let t_ce = time(|| {
+    let t_ce = time(Sampling::KERNEL, || {
         black_box(cross_entropy_in(&serial, &logits, &targets));
     });
     println!(

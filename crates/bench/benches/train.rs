@@ -8,6 +8,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::black_box;
+use mepipe_bench::timer::{time, Sampling};
 use mepipe_comm::TransportConfig;
 use mepipe_core::{svpp::Mepipe, Synth};
 use mepipe_ctl::{Daemon, JobState};
@@ -24,30 +25,6 @@ use mepipe_train::{
     pipeline::WgradMode,
     PipelineRuntime,
 };
-
-/// Seconds per iteration: the *minimum* over several samples — the
-/// noise-robust estimator on a shared machine (interference only ever
-/// adds time), matching `kernels.rs`.
-fn time<F: FnMut()>(mut f: F) -> f64 {
-    let warm = Instant::now();
-    f();
-    let once = warm.elapsed().as_secs_f64();
-    // ~0.5 s per sample, 5 samples (bounded for slow iterations).
-    let per_sample = if once <= 0.0 {
-        4
-    } else {
-        ((0.5 / once) as usize).clamp(1, 8)
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..per_sample {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / per_sample as f64);
-    }
-    best
-}
 
 /// The benchmark model/pipeline shape. Fixed — the recorded baseline in
 /// `BENCH_train.json` was measured on exactly this config, so any change
@@ -268,7 +245,7 @@ fn main() {
         return;
     }
 
-    let t_step = time(|| {
+    let t_step = time(Sampling::STEP, || {
         black_box(rt.train_step(&sch, &batch, WgradMode::DrainOnWait, 0.05)).expect("train_step");
     });
     // One extra measured iteration for the steady-state stats: peak
@@ -318,7 +295,7 @@ fn main() {
     let dp_sch = Mepipe::new()
         .generate(&Dims::new(STAGES, MICRO_BATCHES / REPLICAS).slices(SLICES))
         .unwrap();
-    let t_dp = time(|| {
+    let t_dp = time(Sampling::STEP, || {
         black_box(rt.run_data_parallel(&dp_sch, &batch, REPLICAS, WgradMode::DrainOnWait))
             .expect("data-parallel iteration");
     });
@@ -405,7 +382,7 @@ fn main() {
         .and_then(|p| Some(p.parent()?.parent()?.join("mepipe-worker")))
         .filter(|p| p.exists());
     let t_launch = worker_bin.as_ref().map(|bin| {
-        time(|| {
+        time(Sampling::STEP, || {
             let status = std::process::Command::new(bin)
                 .args(LAUNCH_ARGS)
                 .stdout(std::process::Stdio::null())
@@ -451,7 +428,7 @@ fn main() {
         .unwrap();
     let mut at_rt = PipelineRuntime::new(ModelParams::init(at_cfg, 7), STAGES, 1)
         .with_transport(TransportConfig::in_proc().with_link(AUTOTUNE_LINK));
-    let t_at_before = time(|| {
+    let t_at_before = time(Sampling::STEP, || {
         black_box(at_rt.run_iteration(&at_sch, &at_batch, WgradMode::DrainOnWait, None))
             .expect("pre-autotune iteration");
     });
@@ -475,7 +452,7 @@ fn main() {
     );
     let proposal = out.proposal.expect("calibrated search proposes a schedule");
     at_rt = at_rt.with_tracing(false);
-    let t_at_after = time(|| {
+    let t_at_after = time(Sampling::STEP, || {
         black_box(at_rt.run_iteration(&proposal.schedule, &at_batch, WgradMode::DrainOnWait, None))
             .expect("post-autotune iteration");
     });

@@ -8,5 +8,6 @@
 
 pub mod experiments;
 pub mod report;
+pub mod timer;
 
 pub use report::{write_report, ExperimentReport};

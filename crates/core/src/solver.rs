@@ -31,10 +31,11 @@
 //! split backward, same `p/v/n`), which makes it eligible for the
 //! `retune_mepipe` hot-swap path.
 
-use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use mepipe_schedule::{
-    exec::{self, CostFn},
+    deps::dependencies,
+    exec::{self, CostFn, ListTiming},
     generate::{cap_floor, default_caps, dependents, greedy_generate},
     generator::{Dims, ScheduleError, ScheduleGenerator},
     ir::{ChunkPlacement, Op, OpKind, Schedule, ScheduleMeta},
@@ -267,22 +268,45 @@ pub fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, Schedule
     })
 }
 
+/// One op placement in a beam state's history, linked to the placement
+/// before it. Children of one state share the parent's history instead of
+/// copying it; per-worker lists are built only for a winning state.
+struct Placement {
+    stage: usize,
+    op: Op,
+    prev: Option<Rc<Placement>>,
+}
+
+impl Drop for Placement {
+    /// Unlinks the history iteratively: the default recursive drop of a
+    /// long chain would use one stack frame per placement.
+    fn drop(&mut self) {
+        let mut next = self.prev.take();
+        while let Some(node) = next {
+            next = match Rc::try_unwrap(node) {
+                Ok(mut node) => node.prev.take(),
+                Err(_) => None,
+            };
+        }
+    }
+}
+
 /// One partial construction state of the order search. Ticks are
 /// synchronous (each worker places at most one unit per tick), timing is
 /// exact list-order execution maintained incrementally.
 #[derive(Clone)]
 struct State {
-    lists: Vec<Vec<Op>>,
+    /// The newest placement; the whole history hangs off it.
+    log: Option<Rc<Placement>>,
     ready_fwd: Vec<Vec<Op>>,
     ready_bwd: Vec<Vec<Op>>,
     /// Weight ops whose input-gradient half has run but which have not
     /// been placed yet — the zero-bubble deferral pool. Drained into
     /// ticks where the worker would otherwise idle.
     pending_w: Vec<Vec<Op>>,
-    queued: HashSet<(usize, Op)>,
-    finish: HashMap<(usize, Op), f64>,
-    free: Vec<f64>,
-    busy: Vec<f64>,
+    /// Op slots already entered into a ready set.
+    queued: Vec<bool>,
+    timing: ListTiming,
     in_flight: Vec<usize>,
     reserved: Vec<usize>,
     prefer_forward: Vec<bool>,
@@ -296,7 +320,8 @@ impl State {
     /// Sound completion bound: worker `w`'s unplaced work must run on `w`
     /// after its last placed op ends.
     fn lower_bound(&self, costs: &SliceCosts) -> f64 {
-        self.free
+        self.timing
+            .free()
             .iter()
             .enumerate()
             .map(|(w, &t)| {
@@ -307,8 +332,19 @@ impl State {
             .fold(0.0, f64::max)
     }
 
-    fn makespan(&self) -> f64 {
-        self.free.iter().copied().fold(0.0, f64::max)
+    /// Per-worker op lists in placement order.
+    fn lists(&self, stages: usize) -> Vec<Vec<Op>> {
+        let mut history = Vec::new();
+        let mut node = self.log.as_deref();
+        while let Some(n) = node {
+            history.push((n.stage, n.op));
+            node = n.prev.as_deref();
+        }
+        let mut lists = vec![Vec::new(); stages];
+        for &(w, op) in history.iter().rev() {
+            lists[w].push(op);
+        }
+        lists
     }
 }
 
@@ -333,14 +369,12 @@ fn beam_search(
     let p = meta.stages;
     let units = meta.units_per_worker();
     let mut init = State {
-        lists: vec![Vec::with_capacity(3 * units); p],
+        log: None,
         ready_fwd: vec![Vec::new(); p],
         ready_bwd: vec![Vec::new(); p],
         pending_w: vec![Vec::new(); p],
-        queued: HashSet::new(),
-        finish: HashMap::with_capacity(3 * units * p),
-        free: vec![0.0; p],
-        busy: vec![0.0; p],
+        queued: vec![false; meta.op_slots()],
+        timing: ListTiming::new(meta),
         in_flight: vec![0; p],
         reserved: vec![0; p],
         prefer_forward: vec![false; p],
@@ -445,13 +479,13 @@ fn beam_search(
                 }
                 let child = apply_tick(meta, costs, &state, &actions);
                 if child.remaining == 0 {
-                    let t = child.makespan();
+                    let t = child.timing.makespan();
                     if t < best_time - IMPROVE_MARGIN {
                         best_time = t;
                         best = Some((
                             Schedule {
                                 meta: meta.clone(),
-                                workers: child.lists.clone(),
+                                workers: child.lists(p),
                             },
                             t,
                         ));
@@ -533,10 +567,12 @@ fn apply_tick(meta: &ScheduleMeta, costs: &SliceCosts, state: &State, actions: &
             OpKind::Backward
         };
         for (dw, dep) in dependents(meta, w, op, backward_kind) {
-            let all_done = mepipe_schedule::deps::dependencies(meta, dw, dep)
+            let slot = meta.op_index(dw, dep);
+            let all_done = dependencies(meta, dw, dep)
                 .iter()
-                .all(|d| s.finish.contains_key(&(d.stage, d.op)));
-            if all_done && s.queued.insert((dw, dep)) {
+                .all(|d| s.timing.is_done(meta, d.stage, d.op));
+            if all_done && !s.queued[slot] {
+                s.queued[slot] = true;
                 match dep.kind {
                     OpKind::Forward => s.ready_fwd[dw].push(dep),
                     _ => s.ready_bwd[dw].push(dep),
@@ -549,18 +585,16 @@ fn apply_tick(meta: &ScheduleMeta, costs: &SliceCosts, state: &State, actions: &
 
 /// Appends `op` to worker `w`'s list with exact list-order timing.
 fn place(meta: &ScheduleMeta, costs: &SliceCosts, s: &mut State, w: usize, op: Op) {
-    let mut start = s.free[w];
-    for d in mepipe_schedule::deps::dependencies(meta, w, op) {
-        let t = s.finish[&(d.stage, d.op)];
-        let arrival = if d.cross_stage { t + costs.hop } else { t };
-        start = start.max(arrival);
-    }
-    let dur = costs.duration(w, op);
-    let end = start + dur;
-    s.finish.insert((w, op), end);
-    s.free[w] = end;
-    s.busy[w] += dur;
-    s.lists[w].push(op);
+    let start = s
+        .timing
+        .ready_at(meta, costs, w, op)
+        .expect("a placed op's producers have run");
+    s.timing.run(meta, costs, w, op, start);
+    s.log = Some(Rc::new(Placement {
+        stage: w,
+        op,
+        prev: s.log.take(),
+    }));
 }
 
 /// The solver as a [`ScheduleGenerator`], with deterministic default

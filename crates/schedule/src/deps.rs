@@ -13,10 +13,65 @@
 //!   dK/dV contributions for this slice);
 //! * a weight-gradient op needs its matching input-gradient op.
 
+use std::ops::Deref;
+
 use crate::ir::{Op, OpKind, ScheduleMeta};
 
+/// An inline list of at most three entries — the most producers or
+/// consumers any op has. It derefs to a slice, so callers index and
+/// iterate it like the `Vec` it replaces without a heap allocation per
+/// dependency query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InlineList<T> {
+    items: [T; 3],
+    len: usize,
+}
+
+impl<T: Copy + Default> InlineList<T> {
+    /// An empty list.
+    pub fn new() -> Self {
+        Self {
+            items: [T::default(); 3],
+            len: 0,
+        }
+    }
+
+    /// Appends `item`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds three entries.
+    pub fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+}
+
+impl<T: Copy + Default> Default for InlineList<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> Deref for InlineList<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<T> IntoIterator for InlineList<T> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
 /// One producer an op must wait for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Dep {
     /// The producing op.
     pub op: Op,
@@ -32,7 +87,7 @@ pub struct Dep {
 ///
 /// Panics if the op's coordinates are outside the meta's shape, or if a
 /// weight-gradient op appears in a non-split schedule.
-pub fn dependencies(meta: &ScheduleMeta, stage: usize, op: Op) -> Vec<Dep> {
+pub fn dependencies(meta: &ScheduleMeta, stage: usize, op: Op) -> InlineList<Dep> {
     assert!(
         op.micro_batch < meta.micro_batches,
         "micro-batch out of range: {op}"
@@ -51,7 +106,7 @@ pub fn dependencies(meta: &ScheduleMeta, stage: usize, op: Op) -> Vec<Dep> {
         );
     }
     let g = meta.chain_pos(op.micro_batch, stage, op.chunk);
-    let mut deps = Vec::with_capacity(3);
+    let mut deps = InlineList::new();
     match op.kind {
         OpKind::Forward => {
             if g > 0 {

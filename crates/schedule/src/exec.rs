@@ -6,12 +6,15 @@
 //! finished. This is the timing semantics every pipeline-parallel paper's
 //! diagrams assume; the full simulator in `mepipe-sim` layers memory
 //! tracking and dynamic weight-gradient draining on top.
-
-use std::collections::HashMap;
+//!
+//! [`ListTiming`] is the incremental core: it places one op at a time and
+//! keeps finish times in a dense table over the meta's op slots.
+//! [`execute`] drives it over a whole schedule; the order solver in
+//! `mepipe-core` drives it one decision at a time.
 
 use crate::{
     deps::dependencies,
-    ir::{Op, OpKind, Schedule},
+    ir::{Op, OpKind, Schedule, ScheduleMeta},
 };
 
 /// Pluggable per-op costs.
@@ -121,6 +124,86 @@ impl ExecTrace {
     }
 }
 
+/// Incremental list-order timing: when each placed op finished and when
+/// each worker is next free. Ops are placed one at a time, each as the
+/// next op of its worker's list.
+#[derive(Debug, Clone)]
+pub struct ListTiming {
+    /// Finish time per op slot ([`ScheduleMeta::op_index`]); NaN until
+    /// the op has run.
+    finish: Vec<f64>,
+    /// When each worker's last placed op ends.
+    free: Vec<f64>,
+}
+
+impl ListTiming {
+    /// Nothing placed yet.
+    pub fn new(meta: &ScheduleMeta) -> Self {
+        Self {
+            finish: vec![f64::NAN; meta.op_slots()],
+            free: vec![0.0; meta.stages],
+        }
+    }
+
+    /// Whether `op` has run on `stage`.
+    pub fn is_done(&self, meta: &ScheduleMeta, stage: usize, op: Op) -> bool {
+        !self.finish[meta.op_index(stage, op)].is_nan()
+    }
+
+    /// Earliest start of `op` as worker `w`'s next op: after the worker is
+    /// free and every producer's output (plus any transfer) has arrived.
+    /// `None` while a producer has not run.
+    pub fn ready_at(
+        &self,
+        meta: &ScheduleMeta,
+        cost: &dyn CostFn,
+        w: usize,
+        op: Op,
+    ) -> Option<f64> {
+        let mut ready = self.free[w];
+        for d in dependencies(meta, w, op) {
+            let t = self.finish[meta.op_index(d.stage, d.op)];
+            if t.is_nan() {
+                return None;
+            }
+            let arrival = if d.cross_stage {
+                t + cost.transfer(d.stage, w, op)
+            } else {
+                t
+            };
+            ready = ready.max(arrival);
+        }
+        Some(ready)
+    }
+
+    /// Runs `op` on `w` from `start` (at least [`ListTiming::ready_at`])
+    /// and returns its duration.
+    pub fn run(
+        &mut self,
+        meta: &ScheduleMeta,
+        cost: &dyn CostFn,
+        w: usize,
+        op: Op,
+        start: f64,
+    ) -> f64 {
+        let dur = cost.duration(w, op);
+        let end = start + dur;
+        self.finish[meta.op_index(w, op)] = end;
+        self.free[w] = end;
+        dur
+    }
+
+    /// When each worker's last placed op ends.
+    pub fn free(&self) -> &[f64] {
+        &self.free
+    }
+
+    /// When the last placed op ends.
+    pub fn makespan(&self) -> f64 {
+        self.free.iter().copied().fold(0.0, f64::max)
+    }
+}
+
 /// Executes the schedule in strict per-worker list order.
 ///
 /// Returns `Err` on deadlock (which [`crate::validate::validate`] would
@@ -129,9 +212,8 @@ pub fn execute(schedule: &Schedule, cost: &dyn CostFn) -> Result<ExecTrace, Stri
     let meta = &schedule.meta;
     let nw = schedule.num_workers();
     let mut next = vec![0usize; nw];
-    let mut free_at = vec![0.0f64; nw];
     let mut busy = vec![0.0f64; nw];
-    let mut finished: HashMap<(usize, Op), f64> = HashMap::with_capacity(schedule.num_ops());
+    let mut timing = ListTiming::new(meta);
     let mut placed = Vec::with_capacity(schedule.num_ops());
     let total = schedule.num_ops();
 
@@ -139,31 +221,14 @@ pub fn execute(schedule: &Schedule, cost: &dyn CostFn) -> Result<ExecTrace, Stri
         // Pick, among workers whose next op is dependency-ready, the one
         // that can start earliest (deterministic tie-break by stage index).
         let mut best: Option<(f64, usize)> = None;
-        for w in 0..nw {
-            if next[w] >= schedule.workers[w].len() {
+        for (w, ops) in schedule.workers.iter().enumerate() {
+            let Some(&op) = ops.get(next[w]) else {
                 continue;
-            }
-            let op = schedule.workers[w][next[w]];
-            let mut ready = free_at[w];
-            let mut ok = true;
-            for d in dependencies(meta, w, op) {
-                match finished.get(&(d.stage, d.op)) {
-                    Some(&t) => {
-                        let arrival = if d.cross_stage {
-                            t + cost.transfer(d.stage, w, op)
-                        } else {
-                            t
-                        };
-                        ready = ready.max(arrival);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
+            };
+            if let Some(ready) = timing.ready_at(meta, cost, w, op) {
+                if best.is_none_or(|(bt, _)| ready < bt) {
+                    best = Some((ready, w));
                 }
-            }
-            if ok && best.is_none_or(|(bt, _)| ready < bt) {
-                best = Some((ready, w));
             }
         }
         let (start, w) = best.ok_or_else(|| {
@@ -174,24 +239,20 @@ pub fn execute(schedule: &Schedule, cost: &dyn CostFn) -> Result<ExecTrace, Stri
             format!("deadlock executing {op} on worker {w}")
         })?;
         let op = schedule.workers[w][next[w]];
-        let dur = cost.duration(w, op);
-        let end = start + dur;
-        finished.insert((w, op), end);
+        let dur = timing.run(meta, cost, w, op, start);
         placed.push(Placed {
             stage: w,
             op,
             start,
-            end,
+            end: timing.free()[w],
         });
-        free_at[w] = end;
         busy[w] += dur;
         next[w] += 1;
     }
 
-    let makespan = free_at.iter().copied().fold(0.0, f64::max);
     Ok(ExecTrace {
         placed,
-        makespan,
+        makespan: timing.makespan(),
         busy,
     })
 }

@@ -21,8 +21,7 @@
 //! Figure 7(a); the simulator's dynamic drain (Section 5) reorders them at
 //! execution time.
 
-use std::collections::HashSet;
-
+use crate::deps::{dependencies, InlineList};
 use crate::ir::{Op, OpKind, Schedule, ScheduleMeta};
 
 /// The per-worker in-flight floor below which generation cannot make
@@ -73,13 +72,12 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
     // producer finishes (dependents are enumerated by inverting the
     // dependency derivation). Ready sets stay small, so a tick costs
     // O(ready) instead of O(pending).
-    let mut finished: HashSet<(usize, Op)> =
-        HashSet::with_capacity(2 * meta.units_per_worker() * p);
+    let mut finished = vec![false; meta.op_slots()];
     let mut ready_fwd: Vec<Vec<Op>> = vec![Vec::new(); p];
     let mut ready_bwd: Vec<Vec<Op>> = vec![Vec::new(); p];
     // Guard against double-enqueueing when two producers of the same
     // consumer finish in the same tick.
-    let mut queued: HashSet<(usize, Op)> = HashSet::new();
+    let mut queued = vec![false; meta.op_slots()];
 
     // Seed: forwards with no producers — slice 0 of every micro-batch at
     // its chain entry (position 0 for everyone; bidirectional streams
@@ -243,14 +241,16 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
         // Commit this tick's completions and unlock dependents for the
         // next tick.
         for &(w, op) in &freshly_done {
-            finished.insert((w, op));
+            finished[meta.op_index(w, op)] = true;
         }
         for &(w, op) in &freshly_done {
             for (dw, dep) in dependents(meta, w, op, backward_kind) {
-                let all_done = crate::deps::dependencies(meta, dw, dep)
+                let slot = meta.op_index(dw, dep);
+                let all_done = dependencies(meta, dw, dep)
                     .iter()
-                    .all(|d| finished.contains(&(d.stage, d.op)));
-                if all_done && queued.insert((dw, dep)) {
+                    .all(|d| finished[meta.op_index(d.stage, d.op)]);
+                if all_done && !queued[slot] {
+                    queued[slot] = true;
                     match dep.kind {
                         OpKind::Forward => ready_fwd[dw].push(dep),
                         _ => ready_bwd[dw].push(dep),
@@ -277,9 +277,9 @@ pub fn dependents(
     stage: usize,
     op: Op,
     backward_kind: OpKind,
-) -> Vec<(usize, Op)> {
+) -> InlineList<(usize, Op)> {
     let g = meta.chain_pos(op.micro_batch, stage, op.chunk);
-    let mut out = Vec::with_capacity(3);
+    let mut out = InlineList::new();
     match op.kind {
         OpKind::Forward => {
             if g < meta.last_chain_pos() {

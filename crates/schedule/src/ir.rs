@@ -9,9 +9,10 @@
 use std::fmt;
 
 /// The kind of one schedulable operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
     /// Forward pass of one slice through one chunk.
+    #[default]
     Forward,
     /// Fused backward pass (input and weight gradients together).
     Backward,
@@ -36,10 +37,21 @@ impl OpKind {
     pub fn is_backward_pass(self) -> bool {
         matches!(self, OpKind::Backward | OpKind::BackwardInput)
     }
+
+    /// Slot class of the kind in [`ScheduleMeta::op_index`]: forwards 0,
+    /// backward passes 1, weight gradients 2. Fused and input-gradient
+    /// backwards share a class because a schedule holds only one of them.
+    fn slot_class(self) -> usize {
+        match self {
+            OpKind::Forward => 0,
+            OpKind::Backward | OpKind::BackwardInput => 1,
+            OpKind::BackwardWeight => 2,
+        }
+    }
 }
 
 /// One schedulable operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Op {
     /// What the op computes.
     pub kind: OpKind,
@@ -309,6 +321,27 @@ impl ScheduleMeta {
         } else {
             self.micro_batches * self.slices * self.virtual_chunks
         }
+    }
+
+    /// Size of the dense op table: one slot per `(stage, kind class,
+    /// micro-batch, slice, chunk)`, i.e. `p·3·n·s·v`. Every per-op table
+    /// on the planner path (finish times, readiness, duplicates) is a
+    /// `Vec` of this length indexed by [`ScheduleMeta::op_index`].
+    pub fn op_slots(&self) -> usize {
+        self.stages * 3 * self.micro_batches * self.slices * self.virtual_chunks
+    }
+
+    /// Dense slot of `op` on `stage`, in `0..op_slots()`. Distinct in-shape
+    /// `(stage, op)` pairs of one schedule map to distinct slots (the
+    /// fused and input-gradient backward of a unit share one, and a
+    /// schedule only ever holds one of them).
+    pub fn op_index(&self, stage: usize, op: Op) -> usize {
+        debug_assert!(stage < self.stages && op.micro_batch < self.micro_batches);
+        debug_assert!(op.slice < self.slices && op.chunk < self.virtual_chunks);
+        (((stage * 3 + op.kind.slot_class()) * self.micro_batches + op.micro_batch) * self.slices
+            + op.slice)
+            * self.virtual_chunks
+            + op.chunk
     }
 
     /// Basic shape sanity: nonzero dimensions, V-placement only at `v = 2`,

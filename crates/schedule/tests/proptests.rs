@@ -3,10 +3,11 @@
 use proptest::prelude::*;
 
 use mepipe_schedule::{
+    deps::dependencies,
     exec::{execute, UnitCost},
-    generate::{default_caps, greedy_generate},
+    generate::{default_caps, dependents, greedy_generate},
     generator::{Dapple, Dims, GPipe, ScheduleGenerator, TeraPipe},
-    ir::{ChunkPlacement, ScheduleMeta},
+    ir::{ChunkPlacement, Op, OpKind, ScheduleMeta},
     validate::{peak_in_flight, validate},
 };
 
@@ -29,8 +30,124 @@ fn meta(
     }
 }
 
+/// A shape-valid meta for any placement: V-shaped and bidirectional
+/// placements are pinned to `v = 2`, bidirectional to an even `n`.
+fn any_meta(
+    p: usize,
+    v: usize,
+    s: usize,
+    n: usize,
+    split: bool,
+    placement: ChunkPlacement,
+) -> ScheduleMeta {
+    let (v, n) = match placement {
+        ChunkPlacement::VShape => (2, n),
+        ChunkPlacement::Bidirectional => (2, n + n % 2),
+        _ => (v, n),
+    };
+    let m = meta(p, v, s, n, split, placement);
+    m.check_shape().unwrap();
+    m
+}
+
+/// Every op a schedule of `m` holds, with the stage it runs on.
+fn valid_ops(m: &ScheduleMeta) -> Vec<(usize, Op)> {
+    let backward = if m.split_backward {
+        OpKind::BackwardInput
+    } else {
+        OpKind::Backward
+    };
+    let mut kinds = vec![OpKind::Forward, backward];
+    if m.split_backward {
+        kinds.push(OpKind::BackwardWeight);
+    }
+    let mut ops = Vec::new();
+    for w in 0..m.stages {
+        for mb in 0..m.micro_batches {
+            let chunks: Vec<usize> = match m.chunk_of_mb(mb) {
+                Some(c) => vec![c],
+                None => (0..m.virtual_chunks).collect(),
+            };
+            for sl in 0..m.slices {
+                for &c in &chunks {
+                    for &k in &kinds {
+                        ops.push((w, Op::new(k, mb, sl, c)));
+                    }
+                }
+            }
+        }
+    }
+    ops
+}
+
+const PLACEMENTS: [ChunkPlacement; 4] = [
+    ChunkPlacement::Interleaved,
+    ChunkPlacement::VShape,
+    ChunkPlacement::Wave,
+    ChunkPlacement::Bidirectional,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dense op index maps every valid `(stage, op)` of a meta to its
+    /// own slot in `0..op_slots()`, and fills the table exactly when
+    /// every slot class is in use.
+    #[test]
+    fn op_index_is_one_to_one(
+        p in 1usize..=6,
+        v in 1usize..=4,
+        s in 1usize..=4,
+        n in 1usize..=6,
+        split in proptest::bool::ANY,
+        placement in proptest::sample::select(PLACEMENTS.to_vec()),
+    ) {
+        let m = any_meta(p, v, s, n, split, placement);
+        let mut used = vec![false; m.op_slots()];
+        let ops = valid_ops(&m);
+        for &(w, op) in &ops {
+            let i = m.op_index(w, op);
+            prop_assert!(i < m.op_slots(), "{op} on {w} -> {i}");
+            prop_assert!(!used[i], "{op} on {w} collides at slot {i}");
+            used[i] = true;
+        }
+        if split && !m.bidirectional() {
+            prop_assert_eq!(ops.len(), m.op_slots());
+        }
+    }
+
+    /// `dependents` inverts `dependencies`: X's producers list X among
+    /// their consumers and X's consumers list X among their producers.
+    /// Weight ops are the one exception — `dependents` never yields them.
+    #[test]
+    fn dependents_invert_dependencies(
+        p in 1usize..=6,
+        v in 1usize..=4,
+        s in 1usize..=4,
+        n in 1usize..=6,
+        split in proptest::bool::ANY,
+        placement in proptest::sample::select(PLACEMENTS.to_vec()),
+    ) {
+        let m = any_meta(p, v, s, n, split, placement);
+        let backward = if split { OpKind::BackwardInput } else { OpKind::Backward };
+        for (w, x) in valid_ops(&m) {
+            if x.kind != OpKind::BackwardWeight {
+                for d in dependencies(&m, w, x) {
+                    prop_assert!(
+                        dependents(&m, d.stage, d.op, backward).contains(&(w, x)),
+                        "{} on {} feeds {x} on {w} but does not list it", d.op, d.stage
+                    );
+                }
+            }
+            for (dw, y) in dependents(&m, w, x, backward) {
+                prop_assert!(y.kind != OpKind::BackwardWeight);
+                prop_assert!(
+                    dependencies(&m, dw, y).iter().any(|d| d.stage == w && d.op == x),
+                    "{x} on {w} lists {y} on {dw}, which does not depend on it"
+                );
+            }
+        }
+    }
 
     /// Every placement's (stage, chunk) ↔ global-position mapping is a
     /// bijection over the whole grid.

@@ -14,8 +14,6 @@
 //!   forward start and the engine force-drains deferred weight work to
 //!   make room before declaring OOM.
 
-use std::collections::HashMap;
-
 use mepipe_core::wgrad::WgradQueue;
 use mepipe_schedule::ir::{Op, OpKind, Schedule};
 
@@ -175,13 +173,15 @@ pub fn simulate(
             segments: Vec::new(),
         })
         .collect();
-    let mut finished: HashMap<(usize, Op), f64> = HashMap::with_capacity(schedule.num_ops());
+    // Finish time per op slot (`ScheduleMeta::op_index`), `None` until run.
+    let mut finished: Vec<Option<f64>> = vec![None; meta.op_slots()];
     let mut oom: Option<(usize, f64)> = None;
-    // Directed link occupancy: two tensors crossing the same stage
-    // boundary in the same direction serialise (the fabric is full
-    // duplex, so the two directions are independent). This is what makes
-    // very fine slices pay for their per-message latency on slow links.
-    let mut link_free: HashMap<(usize, usize), f64> = HashMap::new();
+    // Directed link occupancy, `link_free[from * nw + to]`: two tensors
+    // crossing the same stage boundary in the same direction serialise
+    // (the fabric is full duplex, so the two directions are independent).
+    // This is what makes very fine slices pay for their per-message
+    // latency on slow links.
+    let mut link_free = vec![0.0f64; nw * nw];
 
     // Skip-set for dynamically deferred weight ops.
     let is_deferred_w = |op: &Op| config.dynamic_wgrad && op.kind == OpKind::BackwardWeight;
@@ -210,10 +210,10 @@ pub fn simulate(
             for d in mepipe_schedule::deps::dependencies(meta, w, op) {
                 // A dynamically deferred weight op never appears as a
                 // producer of listed ops (only the optimizer needs it).
-                match finished.get(&(d.stage, d.op)) {
-                    Some(&t) => {
+                match finished[meta.op_index(d.stage, d.op)] {
+                    Some(t) => {
                         let arrival = if d.cross_stage {
-                            let busy_until = link_free.get(&(d.stage, w)).copied().unwrap_or(0.0);
+                            let busy_until = link_free[d.stage * nw + w];
                             t.max(busy_until) + cost.transfer_time(d.stage, w)
                         } else {
                             t
@@ -297,17 +297,14 @@ pub fn simulate(
             st.free = end;
             st.next += 1;
         }
-        finished.insert((w, op), end);
+        finished[meta.op_index(w, op)] = Some(end);
         executed += 1;
         // Commit the link occupancy of every transfer this op consumed.
         for d in mepipe_schedule::deps::dependencies(meta, w, op) {
             if d.cross_stage {
-                let t = finished[&(d.stage, d.op)];
-                let busy_until = link_free.get(&(d.stage, w)).copied().unwrap_or(0.0);
-                link_free.insert(
-                    (d.stage, w),
-                    t.max(busy_until) + cost.transfer_time(d.stage, w),
-                );
+                let t = finished[meta.op_index(d.stage, d.op)].expect("producer ran");
+                let link = &mut link_free[d.stage * nw + w];
+                *link = t.max(*link) + cost.transfer_time(d.stage, w);
             }
         }
 

@@ -24,6 +24,13 @@ cargo run --release -p mepipe-bench --bin experiments -- zoo
 echo "==> solver smoke (full synthesis per grid point, 10 s wall-clock cap)"
 cargo run --release -p mepipe-bench --bin experiments -- solver_smoke
 
+echo "==> perfbench tests (the benchmark's own stats, report and metric-table checks)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "==> planner benchmark smoke (plan_fig8 for 3 s; exits non-zero if the GBS-128 golden pick or the identical-picks check fails)"
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload plan_fig8 --seed 1 --seconds 3 --trace 0
+
 echo "==> train bench smoke (one untimed pipeline iteration)"
 cargo bench -p mepipe-bench --bench train -- --smoke
 
