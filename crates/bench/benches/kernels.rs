@@ -9,8 +9,9 @@ use mepipe_bench::timer::{time, Sampling};
 use mepipe_tensor::{
     init::{rng, uniform},
     ops::{
-        causal_attention_backward_in, causal_attention_in, cross_entropy_in, matmul_dgrad_in,
-        matmul_in, matmul_wgrad_in, naive, rmsnorm_in,
+        causal_attention_backward_in, causal_attention_heads_backward_in,
+        causal_attention_heads_in, causal_attention_in, cross_entropy_in, matmul_dgrad_in,
+        matmul_in, matmul_wgrad_in, naive, rmsnorm_in, AttentionGrads,
     },
     KernelPool, Tensor,
 };
@@ -153,6 +154,44 @@ fn main() {
     );
     json.push_str(&format!(
         "  \"attention\": {{\"t\": {t_len}, \"d\": {d}, \"offset\": {offset}, \"fwd_naive_s\": {t_fwd_naive:.6}, \"fwd_fused_s\": {t_fwd:.6}, \"bwd_naive_s\": {t_bwd_naive:.6}, \"bwd_fused_s\": {t_bwd:.6}}},\n"
+    ));
+
+    // --- One layer-slice of multi-head attention at the fine_uds shape
+    // (16-token slices of a hidden-64, 4-head model, last slice of a
+    // 128-token sequence): every head read in place, dK/dV accumulated
+    // into whole-sample buffers. ---
+    let (t_len, width, heads, offset) = (16usize, 64usize, 4usize, 112usize);
+    println!("== multi-head slice attention t={t_len} h={width} heads={heads} offset={offset} ==");
+    let mut r = rng(5);
+    let c = offset + t_len;
+    let q = uniform(t_len, width, 1.0, &mut r);
+    let k = uniform(c, width, 1.0, &mut r);
+    let v = uniform(c, width, 1.0, &mut r);
+    let dout = uniform(t_len, width, 1.0, &mut r);
+    let t_fwd = time(Sampling::KERNEL, || {
+        black_box(causal_attention_heads_in(
+            &serial, &q, &k, &v, offset, heads,
+        ));
+    });
+    let (_, saved) = causal_attention_heads_in(&serial, &q, &k, &v, offset, heads);
+    let mut dq = Tensor::zeros(t_len, width);
+    let mut dk = Tensor::zeros(c, width);
+    let mut dv = Tensor::zeros(c, width);
+    let t_bwd = time(Sampling::KERNEL, || {
+        let grads = AttentionGrads {
+            dq: &mut dq,
+            dk: &mut dk,
+            dv: &mut dv,
+        };
+        causal_attention_heads_backward_in(&serial, &dout, &q, &k, &v, &saved, grads);
+    });
+    println!(
+        "  fwd {:.1} us | bwd {:.1} us (all heads)",
+        t_fwd * 1e6,
+        t_bwd * 1e6
+    );
+    json.push_str(&format!(
+        "  \"attention_heads\": {{\"t\": {t_len}, \"h\": {width}, \"heads\": {heads}, \"offset\": {offset}, \"fwd_s\": {t_fwd:.8}, \"bwd_s\": {t_bwd:.8}}},\n"
     ));
 
     // --- RMSNorm and cross-entropy (pooled row kernels). ---

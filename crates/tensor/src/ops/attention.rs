@@ -1,48 +1,70 @@
-//! Single-head causal attention over a query *slice* and its key/value
+//! Multi-head causal attention over a query *slice* and its key/value
 //! prefix — the dataflow primitive of sequence pipeline parallelism.
 //!
 //! Under TeraPipe/MEPipe slicing, the forward of slice `i` consumes the
 //! keys and values of every preceding slice (Section 4.1, Figure 3); the
 //! backward of slice `i` produces gradient *contributions* to those
 //! prefix keys/values, which the caller accumulates in reverse slice
-//! order. This module implements exactly that contract:
+//! order. This module implements exactly that contract for all heads of
+//! a layer in one call:
 //!
-//! * forward: `q: [t, d]` for the slice, `k, v: [c, d]` for the whole
-//!   prefix `c = offset + t`; causal masking inside the slice;
-//! * backward: returns `dq: [t, d]` plus `dk, dv: [c, d]` over the whole
-//!   prefix.
+//! * forward: `q: [t, heads·d]` for the slice, `k, v: [c, heads·d]` for
+//!   the whole prefix `c = offset + t`; causal masking inside the slice;
+//! * backward: writes `dq: [t, heads·d]` and *accumulates* into
+//!   `dk, dv`, which may be whole-sample buffers — only their first `c`
+//!   rows are touched.
 //!
-//! Both passes route every contraction — scores `Q·Kᵀ`, the value
-//! contraction `P·V`, and the gradient products `dOut·Vᵀ`, `dS·K`,
-//! `dSᵀ·Q`, `Pᵀ·dOut` — through the packed GEMM engine, with transposes
-//! absorbed by packing (no `Kᵀ`/`Vᵀ` temporary is ever materialised).
-//! The engine computes full-width score rows, including the non-causal
-//! upper triangle; the softmax / Jacobian row sweeps then mask that
-//! tail to zero. For the short, fat shapes attention produces
-//! (`t ≤ 16`, `c ≤ seq_len`), the blocked GEMM runs several times
-//! faster than per-row dot/axpy loops even counting the ~50 % masked
-//! waste, which is why the mask-after-GEMM layout wins.
+//! Each head is a column block of those activations, read in place as a
+//! strided view: no per-head copy of q, k, v or dOut is made, and no
+//! per-head result is scattered back. Every contraction — scores
+//! `Q·Kᵀ`, the value contraction `P·V`, and the gradient products
+//! `dOut·Vᵀ`, `dS·K`, `dSᵀ·Q`, `Pᵀ·dOut` — runs through the packed GEMM
+//! engine, with transposes absorbed by packing, and the engine's output
+//! epilogue writes (or, for dK/dV, accumulates) `alpha·product` straight
+//! into the head's columns of the destination. Only the softmax and
+//! softmax-Jacobian row sweeps are fused here, and they run over each
+//! row's causal prefix only: the engine computes full-width score rows,
+//! including the non-causal upper triangle, and the sweeps zero that
+//! tail. For the short, fat shapes attention produces (`t ≤ 128`,
+//! `c ≤ seq_len`), the blocked GEMM runs several times faster than
+//! per-row dot/axpy loops even counting the masked waste, which is why
+//! the mask-after-GEMM layout wins.
+//!
+//! The single-head entry points ([`causal_attention`] and friends) are
+//! the `heads = 1` call of the same kernel.
 
 use crate::{
+    arena,
     ops::{
-        matmul::{matmul_dgrad_uncached_in, matmul_uncached_in, matmul_wgrad_in},
-        vecops::{dot, fast_exp},
+        matmul::{gemm_into, Epilogue, View},
+        vecops::{dot, fast_exp, max, sum},
     },
-    pool::{row_blocks, KernelPool},
+    pool::KernelPool,
     tensor::Tensor,
 };
-
-/// Query rows per parallel work item. Fixed (never derived from the
-/// worker count) so results are bit-identical across pools.
-const ROW_GRAIN: usize = 4;
 
 /// Forward-pass state kept for the backward pass.
 #[derive(Debug, Clone)]
 pub struct AttentionSaved {
-    /// Post-softmax attention probabilities, `[t, c]`.
+    /// Post-softmax attention probabilities, head-major `[heads·t, c]`:
+    /// rows `h·t..(h+1)·t` belong to head `h`.
     pub probs: Tensor,
     /// Token offset of the query slice within the sample.
     pub offset: usize,
+    /// Number of heads the probabilities cover.
+    pub heads: usize,
+}
+
+/// Gradient destinations of [`causal_attention_heads_backward_in`].
+pub struct AttentionGrads<'a> {
+    /// `[t, heads·d]`, overwritten with the query gradient.
+    pub dq: &'a mut Tensor,
+    /// `[≥ c, heads·d]`; the key-gradient contribution is added to its
+    /// first `c` rows.
+    pub dk: &'a mut Tensor,
+    /// `[≥ c, heads·d]`; the value-gradient contribution is added to its
+    /// first `c` rows.
+    pub dv: &'a mut Tensor,
 }
 
 /// Causal attention forward for one head (single-threaded).
@@ -60,8 +82,7 @@ pub fn causal_attention(
     causal_attention_in(KernelPool::shared_serial(), q, k, v, offset)
 }
 
-/// Causal attention forward for one head on a worker pool: fused
-/// scores → stable softmax → `P·V` per query row.
+/// Causal attention forward for one head on a worker pool.
 ///
 /// # Panics
 ///
@@ -74,53 +95,107 @@ pub fn causal_attention_in(
     v: &Tensor,
     offset: usize,
 ) -> (Tensor, AttentionSaved) {
+    causal_attention_heads_in(pool, q, k, v, offset, 1)
+}
+
+/// One head's column block of a `[rows, heads·d]` activation, in place.
+fn head<'a>(t: &'a Tensor, col: usize, trans: bool) -> View<'a> {
+    View::new(&t.data()[col..], t.cols(), trans)
+}
+
+/// Multi-head causal attention forward on a worker pool: per head,
+/// scores `Q·Kᵀ` → stable softmax over the causal prefix → `P·V` into
+/// the head's columns of the `[t, heads·d]` output.
+///
+/// # Panics
+///
+/// Panics unless `heads` divides `q.cols()`, `k`/`v` cover exactly
+/// `offset + q.rows()` positions and all widths agree.
+pub fn causal_attention_heads_in(
+    pool: &KernelPool,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    offset: usize,
+    heads: usize,
+) -> (Tensor, AttentionSaved) {
     let t = q.rows();
-    let d = q.cols();
+    let width = q.cols();
     let c = offset + t;
+    assert!(
+        heads > 0 && width.is_multiple_of(heads),
+        "heads must divide the width"
+    );
     assert_eq!(k.rows(), c, "key prefix must cover offset + slice");
     assert_eq!(v.rows(), c, "value prefix must cover offset + slice");
-    assert_eq!(k.cols(), d, "key head dim mismatch");
-    assert_eq!(v.cols(), d, "value head dim mismatch");
+    assert_eq!(k.cols(), width, "key width mismatch");
+    assert_eq!(v.cols(), width, "value width mismatch");
+    let d = width / heads;
     let scale = 1.0 / (d as f32).sqrt();
 
-    // Scores through the GEMM engine: pre-scale a copy of q so the
-    // 1/√d factor is absorbed into the product (the backward still
-    // differentiates w.r.t. the original q, so its chain-rule scale is
-    // unchanged). The engine fills the full `[t, c]` matrix, including
-    // the non-causal upper triangle; the softmax sweep masks it below.
-    let mut qs = q.clone();
-    qs.scale(scale);
-    let mut probs = matmul_dgrad_uncached_in(pool, &qs, k);
-    let mut items = row_blocks(probs.data_mut(), c, ROW_GRAIN);
-    pool.for_each(&mut items, |_, (r0, chunk)| {
-        let rows = chunk.len() / c;
-        for i in 0..rows {
-            let gi = *r0 + i;
-            let limit = offset + gi + 1; // Causal: keys [0, limit).
-            let (prow, tail) = chunk[i * c..(i + 1) * c].split_at_mut(limit);
-            let mut max = f32::NEG_INFINITY;
-            for &s in prow.iter() {
-                max = max.max(s);
-            }
-            let mut denom = 0.0;
-            for s in prow.iter_mut() {
-                *s = fast_exp(*s - max);
-                denom += *s;
-            }
-            let inv = 1.0 / denom;
-            for s in prow.iter_mut() {
-                *s *= inv;
-            }
-            // Causal mask: zero the future scores the GEMM filled in,
-            // so the P·V contraction and the backward's Pᵀ·dOut see
-            // exact zeros there.
-            for s in tail.iter_mut() {
-                *s = 0.0;
-            }
+    // Pre-scale a copy of q so the 1/√d factor is absorbed into the
+    // score product (the backward still differentiates w.r.t. the
+    // original q, so its chain-rule scale is unchanged). The copy is
+    // kernel scratch, like a packing buffer: it never escapes.
+    let (mut qs_buf, qs_off) = arena::acquire_scratch(t * width);
+    let qs = &mut qs_buf[qs_off..][..t * width];
+    for (s, &x) in qs.iter_mut().zip(q.data()) {
+        *s = x * scale;
+    }
+    let qs = &*qs;
+    let mut probs = Tensor::uninit(heads * t, c);
+    let mut out = Tensor::uninit(t, width);
+    for h in 0..heads {
+        let col = h * d;
+        let p = &mut probs.data_mut()[h * t * c..][..t * c];
+        gemm_into(
+            pool,
+            [t, c, d],
+            View::new(&qs[col..], width, false),
+            head(k, col, true),
+            p,
+            c,
+            Epilogue::STORE,
+        );
+        softmax_causal(p, c, offset);
+        gemm_into(
+            pool,
+            [t, d, c],
+            View::new(p, c, false),
+            head(v, col, false),
+            &mut out.data_mut()[col..],
+            width,
+            Epilogue::STORE,
+        );
+    }
+    arena::release_scratch(t * width, qs_buf);
+    (
+        out,
+        AttentionSaved {
+            probs,
+            offset,
+            heads,
+        },
+    )
+}
+
+/// Row `i` of a `[t, c]` score block becomes the softmax of its causal
+/// prefix `[0, offset + i]`; the rest of the row (scores of future keys
+/// the GEMM filled in) is zeroed, so the `P·V` contraction and the
+/// backward's `Pᵀ·dOut` see exact zeros there.
+fn softmax_causal(block: &mut [f32], c: usize, offset: usize) {
+    for (i, row) in block.chunks_exact_mut(c).enumerate() {
+        let (prow, tail) = row.split_at_mut(offset + i + 1);
+        let m = max(prow);
+        for s in prow.iter_mut() {
+            *s = fast_exp(*s - m);
         }
-    });
-    let out = matmul_uncached_in(pool, &probs, v);
-    (out, AttentionSaved { probs, offset })
+        let inv = 1.0 / sum(prow);
+        for s in prow.iter_mut() {
+            *s *= inv;
+        }
+        tail.fill(0.0);
+    }
 }
 
 /// Backward of [`causal_attention`] (single-threaded): `(dq, dk, dv)`
@@ -136,9 +211,7 @@ pub fn causal_attention_backward(
 }
 
 /// Backward of [`causal_attention_in`] on a worker pool: `(dq, dk, dv)`
-/// with `dk`/`dv` spanning the whole prefix. `dP` and the softmax
-/// Jacobian product are fused row kernels; `dV`, `dQ` and `dK` go through
-/// the packed GEMM forms, so no transposed temporary is allocated.
+/// with `dk`/`dv` spanning the prefix `c = offset + t`.
 pub fn causal_attention_backward_in(
     pool: &KernelPool,
     dout: &Tensor,
@@ -147,47 +220,128 @@ pub fn causal_attention_backward_in(
     v: &Tensor,
     saved: &AttentionSaved,
 ) -> (Tensor, Tensor, Tensor) {
-    let t = q.rows();
-    let d = q.cols();
-    let c = k.rows();
-    assert_eq!(saved.probs.rows(), t);
-    assert_eq!(saved.probs.cols(), c);
-    assert_eq!(dout.rows(), t);
-    assert_eq!(dout.cols(), d);
-    let scale = 1.0 / (d as f32).sqrt();
-    let offset = saved.offset;
-
-    // dV = Pᵀ · dOut (wgrad form — the transpose is absorbed by packing).
-    let dv = matmul_wgrad_in(pool, &saved.probs, dout);
-    // dP = dOut · Vᵀ through the engine (full width — the non-causal
-    // tail comes out as arbitrary finite values), then the softmax
-    // backward dS = P ⊙ (dP − rowsum(P ⊙ dP)) in place per row. The
-    // rowsum only runs over the causal prefix, and the tail is zeroed
-    // explicitly so the dQ/dK contractions see exact zeros there.
-    let mut ds = matmul_dgrad_uncached_in(pool, dout, v);
-    let mut items = row_blocks(ds.data_mut(), c, ROW_GRAIN);
-    pool.for_each(&mut items, |_, (r0, chunk)| {
-        let rows = chunk.len() / c;
-        for i in 0..rows {
-            let gi = *r0 + i;
-            let limit = offset + gi + 1;
-            let prow = &saved.probs.row(gi)[..limit];
-            let (dsrow, tail) = chunk[i * c..(i + 1) * c].split_at_mut(limit);
-            let ip = dot(prow, dsrow);
-            for (s, &p) in dsrow.iter_mut().zip(prow) {
-                *s = p * (*s - ip);
-            }
-            for s in tail.iter_mut() {
-                *s = 0.0;
-            }
-        }
-    });
-    // dQ = dS · K · scale; dK = dSᵀ · Q · scale (wgrad form).
-    let mut dq = matmul_uncached_in(pool, &ds, k);
-    dq.scale(scale);
-    let mut dk = matmul_wgrad_in(pool, &ds, q);
-    dk.scale(scale);
+    let c = saved.offset + q.rows();
+    let mut dq = Tensor::uninit(q.rows(), q.cols());
+    let mut dk = Tensor::zeros(c, q.cols());
+    let mut dv = Tensor::zeros(c, q.cols());
+    let grads = AttentionGrads {
+        dq: &mut dq,
+        dk: &mut dk,
+        dv: &mut dv,
+    };
+    causal_attention_heads_backward_in(pool, dout, q, k, v, saved, grads);
     (dq, dk, dv)
+}
+
+/// Backward of [`causal_attention_heads_in`] on a worker pool. Per
+/// head: `dV += Pᵀ·dOut`; `dP = dOut·Vᵀ` and the softmax Jacobian
+/// `dS = P ⊙ (dP − rowsum(P ⊙ dP))` in place over the causal prefix;
+/// `dQ = scale·dS·K` and `dK += scale·dSᵀ·Q`. `k` and `v` may be whole
+/// KV caches: only their first `c = offset + t` rows are read.
+///
+/// # Panics
+///
+/// Panics if any shape disagrees with the saved forward.
+pub fn causal_attention_heads_backward_in(
+    pool: &KernelPool,
+    dout: &Tensor,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    saved: &AttentionSaved,
+    grads: AttentionGrads<'_>,
+) {
+    let AttentionGrads { dq, dk, dv } = grads;
+    let t = q.rows();
+    let width = q.cols();
+    let heads = saved.heads;
+    let offset = saved.offset;
+    let c = offset + t;
+    let d = width / heads;
+    assert_eq!(saved.probs.rows(), heads * t, "saved probabilities shape");
+    assert_eq!(saved.probs.cols(), c, "saved probabilities shape");
+    assert_eq!((dout.rows(), dout.cols()), (t, width), "dout shape");
+    assert_eq!((dq.rows(), dq.cols()), (t, width), "dq shape");
+    for (x, name) in [(k, "k"), (v, "v"), (&*dk, "dk"), (&*dv, "dv")] {
+        assert!(x.rows() >= c, "{name} must cover offset + slice");
+        assert_eq!(x.cols(), width, "{name} width mismatch");
+    }
+    let scale = 1.0 / (d as f32).sqrt();
+    let accumulate = |alpha| Epilogue {
+        alpha,
+        accumulate: true,
+    };
+    let assign = |alpha| Epilogue {
+        alpha,
+        accumulate: false,
+    };
+
+    let mut ds = Tensor::uninit(t, c);
+    for h in 0..heads {
+        let col = h * d;
+        let p = &saved.probs.data()[h * t * c..][..t * c];
+        // dV += Pᵀ · dOut (the transpose is absorbed by packing).
+        gemm_into(
+            pool,
+            [c, d, t],
+            View::new(p, c, true),
+            head(dout, col, false),
+            &mut dv.data_mut()[col..],
+            width,
+            accumulate(1.0),
+        );
+        // dP = dOut · Vᵀ over the full width, then dS in place.
+        gemm_into(
+            pool,
+            [t, c, d],
+            head(dout, col, false),
+            head(v, col, true),
+            ds.data_mut(),
+            c,
+            Epilogue::STORE,
+        );
+        softmax_backward_causal(ds.data_mut(), p, c, offset);
+        // dQ = scale · dS · K; dK += scale · dSᵀ · Q.
+        gemm_into(
+            pool,
+            [t, d, c],
+            View::new(ds.data(), c, false),
+            head(k, col, false),
+            &mut dq.data_mut()[col..],
+            width,
+            assign(scale),
+        );
+        gemm_into(
+            pool,
+            [c, d, t],
+            View::new(ds.data(), c, true),
+            head(q, col, false),
+            &mut dk.data_mut()[col..],
+            width,
+            accumulate(scale),
+        );
+    }
+}
+
+/// The softmax Jacobian product over each row's causal prefix:
+/// `dS = P ⊙ (dP − rowsum(P ⊙ dP))` in place on a `[t, c]` block of dP,
+/// with the non-causal tail zeroed so the dQ/dK contractions see exact
+/// zeros there.
+fn softmax_backward_causal(ds: &mut [f32], probs: &[f32], c: usize, offset: usize) {
+    for (i, (row, prow)) in ds
+        .chunks_exact_mut(c)
+        .zip(probs.chunks_exact(c))
+        .enumerate()
+    {
+        let limit = offset + i + 1;
+        let (dsrow, tail) = row.split_at_mut(limit);
+        let prow = &prow[..limit];
+        let ip = dot(prow, dsrow);
+        for (s, &p) in dsrow.iter_mut().zip(prow) {
+            *s = p * (*s - ip);
+        }
+        tail.fill(0.0);
+    }
 }
 
 #[cfg(test)]

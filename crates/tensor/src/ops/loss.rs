@@ -2,7 +2,7 @@
 //! row-parallel fused kernel on the worker pool.
 
 use crate::{
-    ops::vecops::fast_exp,
+    ops::vecops::{fast_exp, max},
     pool::{row_blocks, KernelPool},
     tensor::Tensor,
 };
@@ -51,16 +51,19 @@ pub fn cross_entropy_in(pool: &KernelPool, logits: &Tensor, targets: &[usize]) -
             let tgt = targets[r];
             assert!(tgt < v, "target {tgt} out of vocab");
             let row = logits.row(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let max = max(row);
             // Stage the f32 exponentials in the gradient row (one exp per
             // logit instead of two), accumulating the denominator in f64
-            // so the log-sum-exp keeps its precision.
+            // so the log-sum-exp keeps its precision. The exponentials
+            // get a loop of their own: the serial f64 sum would keep a
+            // shared loop scalar.
             let drow = &mut chunk[i * v..(i + 1) * v];
-            let mut denom = 0.0f64;
             for (&x, d) in row.iter().zip(drow.iter_mut()) {
-                let e = fast_exp(x - max);
+                *d = fast_exp(x - max);
+            }
+            let mut denom = 0.0f64;
+            for &e in drow.iter() {
                 denom += f64::from(e);
-                *d = e;
             }
             loss_part += denom.ln() - f64::from(row[tgt] - max);
             let inv = 1.0 / denom;

@@ -25,6 +25,12 @@
 //! order along the inner dimension is fixed, results are bit-identical
 //! across worker counts (and across the inline fallback).
 //!
+//! [`gemm_into`] exposes the same engine to other kernels: it writes
+//! through an [`Epilogue`] (`dst = alpha·AB` or `dst += alpha·AB`) into
+//! a strided column block of caller-owned storage, and its operands may
+//! be column blocks too. That is how attention runs every head of a
+//! layer in place, without copying heads out or scattering results back.
+//!
 //! The original scalar triple loops survive in [`crate::ops::naive`] as
 //! the reference the parity proptests and the `kernels` bench run
 //! against.
@@ -69,41 +75,37 @@ const PAR_FLOP_FLOOR: usize = 1 << 30;
 #[cfg(test)]
 const PAR_FLOP_FLOOR: usize = 1 << 16;
 
-/// A logical `[rows, cols]` operand over row-major storage, optionally
-/// transposed. Packing reads through this view, which is how the dgrad
-/// (`· Bᵀ`) and wgrad (`Aᵀ ·`) forms reuse the one engine without
-/// materialising a transpose.
+/// A logical `[rows, cols]` operand over row-major storage with row
+/// stride `stride`, optionally transposed. Packing reads through this
+/// view, which is how the dgrad (`· Bᵀ`) and wgrad (`Aᵀ ·`) forms reuse
+/// the one engine without materialising a transpose — and, with `data`
+/// starting at a column offset and `stride` the full row width, how
+/// attention reads one head's column block of a `[rows, heads·d]`
+/// activation in place.
 #[derive(Clone, Copy)]
-struct View<'a> {
+pub(crate) struct View<'a> {
     data: &'a [f32],
     stride: usize,
     trans: bool,
 }
 
 impl<'a> View<'a> {
-    fn normal(t: &'a Tensor) -> Self {
+    /// Storage whose logical element `(r, c)` is `data[r * stride + c]`
+    /// (or `data[c * stride + r]` when `trans`).
+    pub(crate) fn new(data: &'a [f32], stride: usize, trans: bool) -> Self {
         View {
-            data: t.data(),
-            stride: t.cols(),
-            trans: false,
+            data,
+            stride,
+            trans,
         }
+    }
+
+    fn normal(t: &'a Tensor) -> Self {
+        Self::new(t.data(), t.cols(), false)
     }
 
     fn transposed(t: &'a Tensor) -> Self {
-        View {
-            data: t.data(),
-            stride: t.cols(),
-            trans: true,
-        }
-    }
-
-    #[inline(always)]
-    fn get(&self, r: usize, c: usize) -> f32 {
-        if self.trans {
-            self.data[c * self.stride + r]
-        } else {
-            self.data[r * self.stride + c]
-        }
+        Self::new(t.data(), t.cols(), true)
     }
 }
 
@@ -141,11 +143,14 @@ fn pack_b(b: View, k: usize, n: usize) -> (Vec<f32>, usize) {
     (buf, off)
 }
 
-/// Packs rows `i0..i0+mc`, inner indices `pk..pk+kc` of the left-hand
-/// operand into `MR`-tall micro-panels: panel `q` holds, for each `p`,
-/// the `MR` values `a[i0+q*MR.., pk+p]` contiguously (zero-padded past
-/// `mc`).
+/// Packs rows `i0..i0+mc`, inner indices `pk..pk+kc` of a transposed
+/// left-hand operand into `MR`-tall micro-panels: panel `q` holds, for
+/// each `p`, the `MR` values `a[i0+q*MR.., pk+p]` contiguously
+/// (zero-padded past `mc`). In transposed storage those `MR` values are
+/// already adjacent, so each is one short copy. (A row-major left operand
+/// is never packed: [`micro_kernel_rows`] reads it in place.)
 fn pack_a(a: View, i0: usize, mc: usize, pk: usize, kc: usize, buf: &mut Vec<f32>) {
+    debug_assert!(a.trans, "row-major left operands are read in place");
     let panels = mc.div_ceil(MR);
     buf.clear();
     buf.resize(panels * kc * MR, 0.0);
@@ -154,9 +159,14 @@ fn pack_a(a: View, i0: usize, mc: usize, pk: usize, kc: usize, buf: &mut Vec<f32
         let rows = MR.min(i0 + mc - r0);
         let base = q * kc * MR;
         for p in 0..kc {
-            let dst = &mut buf[base + p * MR..][..rows];
-            for (ii, d) in dst.iter_mut().enumerate() {
-                *d = a.get(r0 + ii, pk + p);
+            let src = &a.data[(pk + p) * a.stride + r0..];
+            let dst = &mut buf[base + p * MR..][..MR];
+            // The constant-length copy of a full panel compiles to plain
+            // vector moves; only the edge panel pays for a length.
+            if rows == MR {
+                dst.copy_from_slice(&src[..MR]);
+            } else {
+                dst[..rows].copy_from_slice(&src[..rows]);
             }
         }
     }
@@ -220,13 +230,78 @@ fn micro_kernel_rows(a_rows: &[&[f32]; MR], bp: &[f32], init: [[f32; NR]; MR]) -
     acc
 }
 
+/// A packed right-hand operand: the `NR`-wide strips of a logical
+/// `[k, n]` matrix, as laid out by [`pack_b`].
+#[derive(Clone, Copy)]
+struct Packed<'a> {
+    strips: &'a [f32],
+    k: usize,
+    n: usize,
+}
+
+/// What the engine does with each finished output element `x` of the
+/// product: `dst = alpha·x`, or `dst += alpha·x` with `accumulate`.
+/// `alpha` multiplies the complete inner-dimension sum, so
+/// `Epilogue { alpha, .. }` is bitwise the product followed by a
+/// separate `scale(alpha)` pass (and `alpha = 1` is an exact store).
+#[derive(Clone, Copy)]
+pub(crate) struct Epilogue {
+    /// Factor applied to the finished product.
+    pub(crate) alpha: f32,
+    /// Add into the destination instead of overwriting it.
+    pub(crate) accumulate: bool,
+}
+
+impl Epilogue {
+    /// Plain store of the product.
+    pub(crate) const STORE: Epilogue = Epilogue {
+        alpha: 1.0,
+        accumulate: false,
+    };
+
+    fn is_store(self) -> bool {
+        !self.accumulate && self.alpha == 1.0
+    }
+
+    #[inline(always)]
+    fn apply(self, dst: &mut [f32], src: &[f32]) {
+        if self.accumulate {
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d += self.alpha * x;
+            }
+        } else {
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d = self.alpha * x;
+            }
+        }
+    }
+}
+
 /// One `MC`-row block of the output, sweeping the shared packed B and
-/// accumulating through the micro-kernel. A transposed left operand is
-/// packed into `MR`-tall micro-panels per `KC` block; a row-major one is
-/// read in place by [`micro_kernel_rows`] (rows past the edge borrow a
-/// zero row, matching the packed path's zero padding exactly).
-fn gemm_row_block(i0: usize, c_rows: &mut [f32], n: usize, k: usize, a: View, b_pack: &[f32]) {
-    let mc = c_rows.len() / n;
+/// accumulating through the micro-kernel. Output row `i` of the block is
+/// `c_rows[i * ldc..][..n]`, so the block may be a column slice of a
+/// wider tensor. A transposed left operand is packed into `MR`-tall
+/// micro-panels per `KC` block; a row-major one is read in place by
+/// [`micro_kernel_rows`] (rows past the edge borrow a zero row, matching
+/// the packed path's zero padding exactly).
+///
+/// Between `KC` passes the running sums live in the destination itself,
+/// and the epilogue is applied as the last pass stores. An epilogue that
+/// reads or scales the destination cannot share it with partial sums,
+/// so a multi-pass sweep under such an epilogue runs into a scratch tile
+/// first and applies the epilogue from there.
+fn gemm_row_block(i0: usize, c_rows: &mut [f32], ldc: usize, a: View, b: Packed, epi: Epilogue) {
+    let Packed { strips, k, n } = b;
+    let mc = c_rows.len().div_ceil(ldc);
+    if k > KC && !epi.is_store() {
+        let (mut tile, off) = arena::acquire_scratch(mc * n);
+        gemm_row_block(i0, &mut tile[off..][..mc * n], n, a, b, Epilogue::STORE);
+        for (i, src) in tile[off..][..mc * n].chunks_exact(n).enumerate() {
+            epi.apply(&mut c_rows[i * ldc..][..n], src);
+        }
+        arena::release_scratch(mc * n, tile);
+        return;
+    }
     let panels = mc.div_ceil(MR);
     // Upper bound over every KC block, so the one scratch buffer serves
     // the whole sweep (pack_a only ever resizes downward within it).
@@ -240,28 +315,32 @@ fn gemm_row_block(i0: usize, c_rows: &mut [f32], n: usize, k: usize, a: View, b_
     let mut pk = 0;
     while pk < k {
         let kc = KC.min(k - pk);
+        // The epilogue only ever sees finished sums; a single-pass
+        // sweep (kc == k) applies it directly.
+        let store = if pk + kc == k { epi } else { Epilogue::STORE };
         if a.trans {
             pack_a(a, i0, mc, pk, kc, &mut a_buf);
         }
         for (s, j0) in (0..n).step_by(NR).enumerate() {
             let cols = NR.min(n - j0);
-            let bs = &b_pack[s * k * NR + pk * NR..][..kc * NR];
+            let bs = &strips[s * k * NR + pk * NR..][..kc * NR];
             for q in 0..panels {
                 let r0 = q * MR;
                 let rows = MR.min(mc - r0);
                 let full = rows == MR && cols == NR;
                 let mut acc = [[0.0f32; NR]; MR];
-                // On the first KC pass C is still all zeros — skip the read.
+                // On the first KC pass C holds no partial sums — skip
+                // the read.
                 if pk > 0 {
                     if full {
                         // Constant-length copies let the accumulator move
                         // between registers and C without a stack bounce.
                         for (i, accr) in acc.iter_mut().enumerate() {
-                            accr.copy_from_slice(&c_rows[(r0 + i) * n + j0..][..NR]);
+                            accr.copy_from_slice(&c_rows[(r0 + i) * ldc + j0..][..NR]);
                         }
                     } else {
                         for (i, accr) in acc.iter_mut().enumerate().take(rows) {
-                            accr[..cols].copy_from_slice(&c_rows[(r0 + i) * n + j0..][..cols]);
+                            accr[..cols].copy_from_slice(&c_rows[(r0 + i) * ldc + j0..][..cols]);
                         }
                     }
                 }
@@ -277,11 +356,11 @@ fn gemm_row_block(i0: usize, c_rows: &mut [f32], n: usize, k: usize, a: View, b_
                 };
                 if full {
                     for (i, accr) in acc.iter().enumerate() {
-                        c_rows[(r0 + i) * n + j0..][..NR].copy_from_slice(accr);
+                        store.apply(&mut c_rows[(r0 + i) * ldc + j0..][..NR], accr);
                     }
                 } else {
                     for (i, accr) in acc.iter().enumerate().take(rows) {
-                        c_rows[(r0 + i) * n + j0..][..cols].copy_from_slice(&accr[..cols]);
+                        store.apply(&mut c_rows[(r0 + i) * ldc + j0..][..cols], &accr[..cols]);
                     }
                 }
             }
@@ -321,6 +400,35 @@ thread_local! {
     });
 }
 
+/// Runs the row blocks of `dst ← epi(A · B)` over the pool, with B
+/// already packed. `dst` starts at output element `(0, 0)` and has row
+/// stride `ldc`.
+fn run(
+    pool: &KernelPool,
+    m: usize,
+    a: View,
+    b: Packed,
+    dst: &mut [f32],
+    ldc: usize,
+    epi: Epilogue,
+) {
+    let flops = 2usize
+        .saturating_mul(m)
+        .saturating_mul(b.n)
+        .saturating_mul(b.k);
+    let pool = if flops < PAR_FLOP_FLOOR {
+        KernelPool::shared_serial()
+    } else {
+        pool
+    };
+    // Only the first `n` columns of the last row belong to the block.
+    let len = (m - 1) * ldc + b.n;
+    let mut blocks = row_blocks(&mut dst[..len], ldc, MC);
+    pool.for_each(&mut blocks, |_, (i0, c_rows)| {
+        gemm_row_block(*i0, c_rows, ldc, a, b, epi);
+    });
+}
+
 /// Shared engine: logical `C[m,n] = A[m,k] · B[k,n]` with either operand
 /// possibly a transposed view. Row blocks of C fan out over the pool.
 /// `b_stamp` opts the packed B image into the thread-local [`PackCache`]
@@ -341,17 +449,6 @@ fn gemm(
     // Every output element is stored on the first KC pass (the kernel
     // skips the C read when `pk == 0`), so the zero-fill would be dead.
     let mut out = Tensor::uninit(m, n);
-    let pool = if 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k) < PAR_FLOP_FLOOR {
-        KernelPool::shared_serial()
-    } else {
-        pool
-    };
-    let run = |out: &mut Tensor, b_pack: &[f32]| {
-        let mut blocks = row_blocks(out.data_mut(), n, MC);
-        pool.for_each(&mut blocks, |_, (i0, c_rows)| {
-            gemm_row_block(*i0, c_rows, n, k, a, b_pack);
-        });
-    };
     match b_stamp {
         Some(stamp) => PACK_CACHE.with(|cell| {
             let mut cache = cell.borrow_mut();
@@ -366,15 +463,51 @@ fn gemm(
                 cache.map.insert(key, (buf, off));
             }
             let (buf, off) = &cache.map[&key];
-            run(&mut out, &buf[*off..]);
+            let packed = Packed {
+                strips: &buf[*off..],
+                k,
+                n,
+            };
+            run(pool, m, a, packed, out.data_mut(), n, Epilogue::STORE);
         }),
-        None => {
-            let (b_buf, b_off) = pack_b(b, k, n);
-            run(&mut out, &b_buf[b_off..]);
-            arena::release_scratch(n.div_ceil(NR) * k * NR, b_buf);
-        }
+        None => gemm_into(pool, [m, n, k], a, b, out.data_mut(), n, Epilogue::STORE),
     }
     out
+}
+
+/// The engine into caller-owned storage: `dst ← epi(A[m,k] · B[k,n])`,
+/// where output row `i` is `dst[i * ldc..][..n]` — a whole row-major
+/// tensor (`ldc == n`) or a column block of a wider one. B is packed
+/// fresh on every call (no [`PackCache`] entry), for one-shot operands
+/// such as attention's activations. With `k == 0` the product is zero.
+pub(crate) fn gemm_into(
+    pool: &KernelPool,
+    [m, n, k]: [usize; 3],
+    a: View,
+    b: View,
+    dst: &mut [f32],
+    ldc: usize,
+    epi: Epilogue,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        if !epi.accumulate {
+            for row in dst.chunks_mut(ldc).take(m) {
+                row[..n].fill(0.0);
+            }
+        }
+        return;
+    }
+    let (b_buf, b_off) = pack_b(b, k, n);
+    let packed = Packed {
+        strips: &b_buf[b_off..],
+        k,
+        n,
+    };
+    run(pool, m, a, packed, dst, ldc, epi);
+    arena::release_scratch(n.div_ceil(NR) * k * NR, b_buf);
 }
 
 /// `C = A · B`.
@@ -460,38 +593,6 @@ pub fn matmul_wgrad_in(pool: &KernelPool, a: &Tensor, dc: &Tensor) -> Tensor {
     )
 }
 
-/// [`matmul_in`] with the pack cache bypassed: for `B` operands that are
-/// activations (fresh stamp every call), where caching the pack would
-/// only grow the cache until its overflow clear evicts the weight packs
-/// that *are* reused.
-pub(crate) fn matmul_uncached_in(pool: &KernelPool, a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-    gemm(
-        pool,
-        a.rows(),
-        b.cols(),
-        a.cols(),
-        View::normal(a),
-        View::normal(b),
-        None,
-    )
-}
-
-/// [`matmul_dgrad_in`] (`dC · Bᵀ`) with the pack cache bypassed — same
-/// rationale as [`matmul_uncached_in`].
-pub(crate) fn matmul_dgrad_uncached_in(pool: &KernelPool, dc: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(dc.cols(), b.cols(), "dgrad dimension mismatch");
-    gemm(
-        pool,
-        dc.rows(),
-        b.rows(),
-        dc.cols(),
-        View::normal(dc),
-        View::transposed(b),
-        None,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,6 +660,51 @@ mod tests {
                 matmul_wgrad(&a, &dc).max_abs_diff(&naive::matmul_wgrad(&a, &dc)) < 1e-5,
                 "wgrad mismatch at {m}x{k}x{n}"
             );
+        }
+    }
+
+    #[test]
+    fn gemm_into_epilogues_write_only_their_column_block() {
+        // Inner dimensions on both sides of KC: a single-pass sweep
+        // applies the epilogue as it stores, a multi-pass one through a
+        // scratch tile.
+        let (m, n, width, col) = (MC + 5, 7, 20, 9);
+        for k in [5, KC + 3] {
+            let mut r = rng(k as u64);
+            let a = uniform(m, k, 1.0, &mut r);
+            let b = uniform(k, n, 1.0, &mut r);
+            let base = uniform(m, width, 1.0, &mut r);
+            let prod = naive::matmul(&a, &b);
+            for (alpha, accumulate) in [(1.0, false), (0.5, false), (0.25, true)] {
+                let mut dst = base.clone();
+                gemm_into(
+                    KernelPool::shared_serial(),
+                    [m, n, k],
+                    View::normal(&a),
+                    View::normal(&b),
+                    &mut dst.data_mut()[col..],
+                    width,
+                    Epilogue { alpha, accumulate },
+                );
+                for i in 0..m {
+                    for j in 0..width {
+                        let want = if (col..col + n).contains(&j) {
+                            let p = alpha * prod.at(i, j - col);
+                            if accumulate {
+                                base.at(i, j) + p
+                            } else {
+                                p
+                            }
+                        } else {
+                            base.at(i, j)
+                        };
+                        assert!(
+                            (dst.at(i, j) - want).abs() < 1e-4,
+                            "k={k} alpha={alpha} accumulate={accumulate} ({i},{j})"
+                        );
+                    }
+                }
+            }
         }
     }
 

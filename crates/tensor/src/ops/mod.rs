@@ -15,8 +15,9 @@ mod vecops;
 
 pub use activation::{silu, silu_backward};
 pub use attention::{
-    causal_attention, causal_attention_backward, causal_attention_backward_in, causal_attention_in,
-    AttentionSaved,
+    causal_attention, causal_attention_backward, causal_attention_backward_in,
+    causal_attention_heads_backward_in, causal_attention_heads_in, causal_attention_in,
+    AttentionGrads, AttentionSaved,
 };
 pub use embedding::{embedding, embedding_backward};
 pub use loss::{cross_entropy, cross_entropy_in, CrossEntropyOut};

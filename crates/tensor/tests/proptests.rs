@@ -6,9 +6,10 @@ use proptest::prelude::*;
 use mepipe_tensor::{
     init::{rng, uniform},
     ops::{
-        causal_attention_backward_in, causal_attention_in, cross_entropy, matmul, matmul_dgrad,
+        causal_attention_backward_in, causal_attention_heads_backward_in,
+        causal_attention_heads_in, causal_attention_in, cross_entropy, matmul, matmul_dgrad,
         matmul_dgrad_in, matmul_in, matmul_wgrad, matmul_wgrad_in, naive, rmsnorm,
-        rmsnorm_backward, silu, silu_backward,
+        rmsnorm_backward, silu, silu_backward, AttentionGrads, AttentionSaved,
     },
     KernelPool, Tensor,
 };
@@ -193,6 +194,144 @@ proptest! {
         prop_assert!(dq.max_abs_diff(&dq_n) < 1e-5);
         prop_assert!(dk.max_abs_diff(&dk_n) < 1e-5);
         prop_assert!(dv.max_abs_diff(&dv_n) < 1e-5);
+    }
+}
+
+/// One multi-head attention forward and backward. `k`/`v` carry `extra`
+/// rows past the prefix (as a whole-sample KV cache does in the
+/// backward); the forward sees only the prefix. The gradient buffers
+/// start from `grads`, so the result shows which outputs are assigned and
+/// which accumulate.
+struct MultiHead {
+    out: Tensor,
+    saved: AttentionSaved,
+    dq: Tensor,
+    dk: Tensor,
+    dv: Tensor,
+}
+
+#[allow(clippy::too_many_arguments)]
+fn multi_head(
+    pool: &KernelPool,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    dout: &Tensor,
+    offset: usize,
+    heads: usize,
+    grads: [&Tensor; 3],
+) -> MultiHead {
+    let c = offset + q.rows();
+    let (out, saved) = causal_attention_heads_in(
+        pool,
+        q,
+        &k.slice_rows(0, c),
+        &v.slice_rows(0, c),
+        offset,
+        heads,
+    );
+    let [mut dq, mut dk, mut dv] = grads.map(Tensor::clone);
+    causal_attention_heads_backward_in(
+        pool,
+        dout,
+        q,
+        k,
+        v,
+        &saved,
+        AttentionGrads {
+            dq: &mut dq,
+            dk: &mut dk,
+            dv: &mut dv,
+        },
+    );
+    MultiHead {
+        out,
+        saved,
+        dq,
+        dk,
+        dv,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The multi-head kernel reading heads in place equals the naive
+    /// kernel run on each head's copied-out columns: the forward output
+    /// and head-major probabilities, `dq` overwritten, and `dk`/`dv`
+    /// added onto whatever the buffers held, over the prefix rows only.
+    #[test]
+    fn multi_head_attention_matches_per_head_naive(
+        heads in prop::sample::select(vec![1usize, 2, 4, 8]),
+        d in 1usize..10,
+        t in 1usize..12,
+        offset in 0usize..8,
+        extra in 0usize..3,
+        seed in 0u64..500,
+    ) {
+        let mut r = rng(seed);
+        let width = heads * d;
+        let c = offset + t;
+        let q = uniform(t, width, 1.0, &mut r);
+        let k = uniform(c + extra, width, 1.0, &mut r);
+        let v = uniform(c + extra, width, 1.0, &mut r);
+        let dout = uniform(t, width, 1.0, &mut r);
+        let dq0 = uniform(t, width, 1.0, &mut r);
+        let dk0 = uniform(c + extra, width, 1.0, &mut r);
+        let dv0 = uniform(c + extra, width, 1.0, &mut r);
+        let got = multi_head(KernelPool::shared_serial(), &q, &k, &v, &dout, offset, heads, [&dq0, &dk0, &dv0]);
+
+        for h in 0..heads {
+            let cols = |x: &Tensor| x.slice_cols(h * d, d);
+            let prefix = |x: &Tensor| x.slice_rows(0, c).slice_cols(h * d, d);
+            let (qh, kh, vh, doh) = (cols(&q), prefix(&k), prefix(&v), cols(&dout));
+            let (out_n, probs_n) = naive::causal_attention(&qh, &kh, &vh, offset);
+            prop_assert!(cols(&got.out).max_abs_diff(&out_n) < 1e-5);
+            prop_assert!(got.saved.probs.slice_rows(h * t, t).max_abs_diff(&probs_n) < 1e-5);
+
+            let (dq_n, mut dk_n, mut dv_n) =
+                naive::causal_attention_backward(&doh, &qh, &kh, &vh, &probs_n);
+            dk_n.add_assign(&prefix(&dk0));
+            dv_n.add_assign(&prefix(&dv0));
+            prop_assert!(cols(&got.dq).max_abs_diff(&dq_n) < 1e-5, "dq is assigned");
+            prop_assert!(prefix(&got.dk).max_abs_diff(&dk_n) < 1e-5, "dk accumulates");
+            prop_assert!(prefix(&got.dv).max_abs_diff(&dv_n) < 1e-5, "dv accumulates");
+        }
+        // Rows past the prefix are never touched.
+        prop_assert_eq!(got.dk.slice_rows(c, extra), dk0.slice_rows(c, extra));
+        prop_assert_eq!(got.dv.slice_rows(c, extra), dv0.slice_rows(c, extra));
+    }
+
+    /// The multi-head forward and backward are bit-identical on 1 and 3
+    /// kernel workers.
+    #[test]
+    fn multi_head_attention_is_bitwise_across_worker_counts(
+        heads in prop::sample::select(vec![1usize, 2, 4, 8]),
+        d in 1usize..10,
+        t in 1usize..12,
+        offset in 0usize..8,
+        seed in 0u64..500,
+    ) {
+        let mut r = rng(seed);
+        let width = heads * d;
+        let c = offset + t;
+        let q = uniform(t, width, 1.0, &mut r);
+        let k = uniform(c, width, 1.0, &mut r);
+        let v = uniform(c, width, 1.0, &mut r);
+        let dout = uniform(t, width, 1.0, &mut r);
+        let dq0 = uniform(t, width, 1.0, &mut r);
+        let dk0 = uniform(c, width, 1.0, &mut r);
+        let dv0 = uniform(c, width, 1.0, &mut r);
+        let run = |workers| {
+            multi_head(&KernelPool::new(workers), &q, &k, &v, &dout, offset, heads, [&dq0, &dk0, &dv0])
+        };
+        let (one, three) = (run(1), run(3));
+        let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&one.out), bits(&three.out));
+        prop_assert_eq!(bits(&one.saved.probs), bits(&three.saved.probs));
+        prop_assert_eq!(bits(&one.dq), bits(&three.dq));
+        prop_assert_eq!(bits(&one.dk), bits(&three.dk));
+        prop_assert_eq!(bits(&one.dv), bits(&three.dv));
     }
 }
 

@@ -13,11 +13,13 @@
 //!   GEMMs;
 //! * `apply_wgrads` executes those GEMMs — the op MEPipe schedules freely.
 
+use std::rc::Rc;
+
 use mepipe_tensor::{
     ops::{
-        causal_attention_backward_in, causal_attention_in, matmul_dgrad_in, matmul_in,
-        matmul_wgrad_in, rmsnorm_backward_in, rmsnorm_in, silu, silu_backward, AttentionSaved,
-        RmsNormSaved,
+        causal_attention_heads_backward_in, causal_attention_heads_in, matmul_dgrad_in, matmul_in,
+        matmul_wgrad_in, rmsnorm_backward_in, rmsnorm_in, silu, silu_backward, AttentionGrads,
+        AttentionSaved, RmsNormSaved,
     },
     KernelPool, Tensor,
 };
@@ -88,8 +90,10 @@ pub enum WeightId {
 pub struct WgradGemm {
     /// Which weight to update.
     pub weight: WeightId,
-    /// The forward input activation.
-    pub input: Tensor,
+    /// The forward input activation. Shared, not copied: the q/k/v
+    /// GEMMs read one normed input, as do gate/up, and each is the
+    /// saved forward tensor itself.
+    pub input: Rc<Tensor>,
     /// The output gradient.
     pub out_grad: Tensor,
 }
@@ -104,37 +108,33 @@ impl WgradGemm {
 /// Activations one slice-forward saves for its backward.
 #[derive(Debug, Clone)]
 pub struct LayerFwdSaved {
-    x_in: Tensor,
     norm1_saved: RmsNormSaved,
-    normed1: Tensor,
+    normed1: Rc<Tensor>,
     q: Tensor,
-    attn_saved: Vec<AttentionSaved>,
-    attn_concat: Tensor,
-    resid1: Tensor,
+    attn_saved: AttentionSaved,
+    attn_concat: Rc<Tensor>,
     norm2_saved: RmsNormSaved,
-    normed2: Tensor,
+    normed2: Rc<Tensor>,
     gate_pre: Tensor,
     gate_act: Tensor,
     up: Tensor,
     offset: usize,
-    heads: usize,
 }
 
 impl LayerFwdSaved {
     /// Byte footprint of everything retained for the backward pass.
+    ///
+    /// The layer input and the post-attention residual are each held
+    /// once, as the saved input of the RMSNorm that reads them, and
+    /// charged once per use: as a residual-stream value and as a norm
+    /// input.
     pub fn bytes(&self) -> usize {
-        self.x_in.bytes()
-            + self.norm1_saved.x.bytes()
+        2 * self.norm1_saved.x.bytes()
             + self.normed1.bytes()
             + self.q.bytes()
-            + self
-                .attn_saved
-                .iter()
-                .map(|a| a.probs.bytes())
-                .sum::<usize>()
+            + self.attn_saved.probs.bytes()
             + self.attn_concat.bytes()
-            + self.resid1.bytes()
-            + self.norm2_saved.x.bytes()
+            + 2 * self.norm2_saved.x.bytes()
             + self.normed2.bytes()
             + self.gate_pre.bytes()
             + self.gate_act.bytes()
@@ -161,8 +161,6 @@ pub fn forward_slice(
     heads: usize,
 ) -> (Tensor, LayerFwdSaved) {
     assert_eq!(kv.len(), offset, "KV cache out of sync with slice offset");
-    let h = x.cols();
-    let hd = h / heads;
 
     let (normed1, norm1_saved) = rmsnorm_in(pool, x, &p.norm1);
     let q = matmul_in(pool, &normed1, &p.wq);
@@ -172,16 +170,8 @@ pub fn forward_slice(
     let k_all = kv.k.as_ref().expect("cache nonempty after append");
     let v_all = kv.v.as_ref().expect("cache nonempty after append");
 
-    let mut attn_concat = Tensor::zeros(x.rows(), h);
-    let mut attn_saved = Vec::with_capacity(heads);
-    for head in 0..heads {
-        let qh = q.slice_cols(head * hd, hd);
-        let kh = k_all.slice_cols(head * hd, hd);
-        let vh = v_all.slice_cols(head * hd, hd);
-        let (oh, sv) = causal_attention_in(pool, &qh, &kh, &vh, offset);
-        attn_concat.add_cols(head * hd, &oh);
-        attn_saved.push(sv);
-    }
+    let (attn_concat, attn_saved) =
+        causal_attention_heads_in(pool, &q, k_all, v_all, offset, heads);
     let attn_out = matmul_in(pool, &attn_concat, &p.wo);
     let resid1 = x.add(&attn_out);
 
@@ -197,20 +187,17 @@ pub fn forward_slice(
     let y = resid1.add(&mlp_out);
 
     let saved = LayerFwdSaved {
-        x_in: x.clone(),
         norm1_saved,
-        normed1,
+        normed1: Rc::new(normed1),
         q,
         attn_saved,
-        attn_concat,
-        resid1,
+        attn_concat: Rc::new(attn_concat),
         norm2_saved,
-        normed2,
+        normed2: Rc::new(normed2),
         gate_pre,
         gate_act,
         up,
         offset,
-        heads,
     };
     (y, saved)
 }
@@ -242,12 +229,9 @@ pub fn backward_input_slice(
 ) -> BackwardOut {
     let t = dy.rows();
     let h = dy.cols();
-    let heads = saved.heads;
-    let hd = h / heads;
     let offset = saved.offset;
     let k_all = kv.k.as_ref().expect("kv cache present");
     let v_all = kv.v.as_ref().expect("kv cache present");
-    let prefix = offset + t;
     if dkv.is_empty() {
         // First (i.e. last-slice) backward allocates the accumulators for
         // the whole cached prefix.
@@ -255,19 +239,8 @@ pub fn backward_input_slice(
         dkv.v = Some(Tensor::zeros(kv.len(), h));
     }
 
-    let mut wgrads = Vec::with_capacity(7);
-
     // MLP backward.
     let d_mlp_act = matmul_dgrad_in(pool, dy, &p.wd);
-    let mut mlp_act = saved.gate_act.clone();
-    for (a, b) in mlp_act.data_mut().iter_mut().zip(saved.up.data()) {
-        *a *= b;
-    }
-    wgrads.push(WgradGemm {
-        weight: WeightId::Wd,
-        input: mlp_act,
-        out_grad: dy.clone(),
-    });
     let mut d_silu = d_mlp_act.clone();
     for (a, b) in d_silu.data_mut().iter_mut().zip(saved.up.data()) {
         *a *= b;
@@ -279,54 +252,29 @@ pub fn backward_input_slice(
     }
     let mut d_normed2 = matmul_dgrad_in(pool, &d_gate_pre, &p.wg);
     d_normed2.add_assign(&matmul_dgrad_in(pool, &d_up, &p.wu));
-    wgrads.push(WgradGemm {
-        weight: WeightId::Wg,
-        input: saved.normed2.clone(),
-        out_grad: d_gate_pre,
-    });
-    wgrads.push(WgradGemm {
-        weight: WeightId::Wu,
-        input: saved.normed2.clone(),
-        out_grad: d_up,
-    });
-    let (d_resid1_norm, dnorm2) =
+    let (mut d_resid1, dnorm2) =
         rmsnorm_backward_in(pool, &d_normed2, &p.norm2, &saved.norm2_saved);
-    let mut d_resid1 = dy.clone();
-    d_resid1.add_assign(&d_resid1_norm);
+    d_resid1.add_assign(dy);
 
     // Attention output projection.
     let d_attn_concat = matmul_dgrad_in(pool, &d_resid1, &p.wo);
-    wgrads.push(WgradGemm {
-        weight: WeightId::Wo,
-        input: saved.attn_concat.clone(),
-        out_grad: d_resid1.clone(),
-    });
 
-    // Per-head attention backward; accumulate prefix dK/dV.
+    // Attention backward over every head; accumulates the prefix dK/dV
+    // in place.
     let mut dq = Tensor::zeros(t, h);
-    {
-        let dk_acc = dkv.k.as_mut().expect("allocated above");
-        let dv_acc = dkv.v.as_mut().expect("allocated above");
-        for head in 0..heads {
-            let qh = saved.q.slice_cols(head * hd, hd);
-            let kh = k_all.slice_block(0, prefix, head * hd, hd);
-            let vh = v_all.slice_block(0, prefix, head * hd, hd);
-            let doh = d_attn_concat.slice_cols(head * hd, hd);
-            let (dqh, dkh, dvh) =
-                causal_attention_backward_in(pool, &doh, &qh, &kh, &vh, &saved.attn_saved[head]);
-            dq.add_cols(head * hd, &dqh);
-            for r in 0..prefix {
-                let dst_k = &mut dk_acc.row_mut(r)[head * hd..(head + 1) * hd];
-                for (a, b) in dst_k.iter_mut().zip(dkh.row(r)) {
-                    *a += b;
-                }
-                let dst_v = &mut dv_acc.row_mut(r)[head * hd..(head + 1) * hd];
-                for (a, b) in dst_v.iter_mut().zip(dvh.row(r)) {
-                    *a += b;
-                }
-            }
-        }
-    }
+    causal_attention_heads_backward_in(
+        pool,
+        &d_attn_concat,
+        &saved.q,
+        k_all,
+        v_all,
+        &saved.attn_saved,
+        AttentionGrads {
+            dq: &mut dq,
+            dk: dkv.k.as_mut().expect("allocated above"),
+            dv: dkv.v.as_mut().expect("allocated above"),
+        },
+    );
 
     // This slice's own dK/dV rows are now complete.
     let dk_own = dkv.k.as_ref().expect("allocated").slice_rows(offset, t);
@@ -335,25 +283,29 @@ pub fn backward_input_slice(
     let mut d_normed1 = matmul_dgrad_in(pool, &dq, &p.wq);
     d_normed1.add_assign(&matmul_dgrad_in(pool, &dk_own, &p.wk));
     d_normed1.add_assign(&matmul_dgrad_in(pool, &dv_own, &p.wv));
-    wgrads.push(WgradGemm {
-        weight: WeightId::Wq,
-        input: saved.normed1.clone(),
-        out_grad: dq,
-    });
-    wgrads.push(WgradGemm {
-        weight: WeightId::Wk,
-        input: saved.normed1.clone(),
-        out_grad: dk_own,
-    });
-    wgrads.push(WgradGemm {
-        weight: WeightId::Wv,
-        input: saved.normed1.clone(),
-        out_grad: dv_own,
-    });
+    let (mut dx, dnorm1) = rmsnorm_backward_in(pool, &d_normed1, &p.norm1, &saved.norm1_saved);
+    dx.add_assign(&d_resid1);
 
-    let (d_x_norm, dnorm1) = rmsnorm_backward_in(pool, &d_normed1, &p.norm1, &saved.norm1_saved);
-    let mut dx = d_resid1;
-    dx.add_assign(&d_x_norm);
+    // The deferred GEMMs take their operands by move or by shared
+    // reference: none is copied except `dy`, which the caller keeps.
+    let mut mlp_act = saved.gate_act.clone();
+    for (a, b) in mlp_act.data_mut().iter_mut().zip(saved.up.data()) {
+        *a *= b;
+    }
+    let gemm = |weight, input, out_grad| WgradGemm {
+        weight,
+        input,
+        out_grad,
+    };
+    let wgrads = vec![
+        gemm(WeightId::Wd, Rc::new(mlp_act), dy.clone()),
+        gemm(WeightId::Wg, Rc::clone(&saved.normed2), d_gate_pre),
+        gemm(WeightId::Wu, Rc::clone(&saved.normed2), d_up),
+        gemm(WeightId::Wo, Rc::clone(&saved.attn_concat), d_resid1),
+        gemm(WeightId::Wq, Rc::clone(&saved.normed1), dq),
+        gemm(WeightId::Wk, Rc::clone(&saved.normed1), dk_own),
+        gemm(WeightId::Wv, Rc::clone(&saved.normed1), dv_own),
+    ];
 
     BackwardOut {
         dx,

@@ -31,6 +31,10 @@ echo "==> planner benchmark smoke (plan_fig8 for 3 s; exits non-zero if the GBS-
 cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload plan_fig8 --seed 1 --seconds 3 --trace 0
 
+echo "==> training benchmark smoke (fine_uds for 3 s; exits non-zero if the pipeline-vs-reference loss, UDS-vs-in-process bit identity, identical set-ups or loss-record check fails)"
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload fine_uds --seed 1 --seconds 3 --trace 0
+
 echo "==> train bench smoke (one untimed pipeline iteration)"
 cargo bench -p mepipe-bench --bench train -- --smoke
 
