@@ -11,7 +11,8 @@ use mepipe_tensor::{
     ops::{
         causal_attention_backward_in, causal_attention_heads_backward_in,
         causal_attention_heads_in, causal_attention_in, cross_entropy_in, matmul_dgrad_in,
-        matmul_in, matmul_wgrad_in, naive, rmsnorm_in, AttentionGrads,
+        matmul_in, matmul_packed_in, matmul_wgrad_in, naive, rmsnorm_in, AttentionGrads,
+        PackedWeight,
     },
     KernelPool, Tensor,
 };
@@ -24,7 +25,9 @@ fn main() {
     let serial = KernelPool::serial();
     let mut json = String::from("{\n");
 
-    // --- Matmul trio: naive vs kernel engine, single thread. ---
+    // --- Matmul trio: naive vs kernel engine, single thread. The trio
+    // packs B on every call; `packed_s` is the forward GEMM on a weight
+    // image packed beforehand, as the training runtime runs it. ---
     println!("== matmul: naive scalar vs blocked/packed kernel (1 worker) ==");
     json.push_str("  \"matmul\": [\n");
     let mut first = true;
@@ -45,22 +48,27 @@ fn main() {
         let t_wgrad = time(Sampling::KERNEL, || {
             black_box(matmul_wgrad_in(&serial, &a, &dc));
         });
+        let image = PackedWeight::forward(&b);
+        let t_packed = time(Sampling::KERNEL, || {
+            black_box(matmul_packed_in(&serial, &a, &image));
+        });
         let speedup = t_naive / t_kernel;
         println!(
-            "  {n}x{n}x{n}: naive {:.1} ms ({:.2} GF/s) | kernel {:.1} ms ({:.2} GF/s) | {speedup:.2}x | dgrad {:.1} ms | wgrad {:.1} ms",
+            "  {n}x{n}x{n}: naive {:.1} ms ({:.2} GF/s) | kernel {:.1} ms ({:.2} GF/s) | {speedup:.2}x | dgrad {:.1} ms | wgrad {:.1} ms | prepacked {:.1} ms",
             t_naive * 1e3,
             gflops(n, n, n, t_naive),
             t_kernel * 1e3,
             gflops(n, n, n, t_kernel),
             t_dgrad * 1e3,
             t_wgrad * 1e3,
+            t_packed * 1e3,
         );
         if !first {
             json.push_str(",\n");
         }
         first = false;
         json.push_str(&format!(
-            "    {{\"shape\": {n}, \"naive_s\": {t_naive:.6}, \"kernel_s\": {t_kernel:.6}, \"dgrad_s\": {t_dgrad:.6}, \"wgrad_s\": {t_wgrad:.6}, \"speedup\": {speedup:.2}, \"kernel_gflops\": {:.2}}}",
+            "    {{\"shape\": {n}, \"naive_s\": {t_naive:.6}, \"kernel_s\": {t_kernel:.6}, \"dgrad_s\": {t_dgrad:.6}, \"wgrad_s\": {t_wgrad:.6}, \"packed_s\": {t_packed:.6}, \"speedup\": {speedup:.2}, \"kernel_gflops\": {:.2}}}",
             gflops(n, n, n, t_kernel)
         ));
     }

@@ -114,7 +114,9 @@ impl SocketTransport {
         }
     }
 
-    fn uds_path(dir: &std::path::Path, stage: usize) -> PathBuf {
+    /// The Unix-domain socket stage `stage` binds under mesh directory
+    /// `dir` — the first thing its [`Transport::endpoint`] call does.
+    pub fn uds_path(dir: &std::path::Path, stage: usize) -> PathBuf {
         dir.join(format!("mepipe-stage-{stage}.sock"))
     }
 }

@@ -30,16 +30,18 @@
 //! a strided column block of caller-owned storage, and its operands may
 //! be column blocks too. That is how attention runs every head of a
 //! layer in place, without copying heads out or scattering results back.
+//! The same epilogue lets [`matmul_wgrad_acc_in`] add a weight gradient
+//! straight into its accumulator.
+//!
+//! `matmul*` pack B on every call. A weight that is the B operand of many
+//! GEMMs is packed once into a [`PackedWeight`] image per orientation
+//! (forward or dgrad) and multiplied with [`matmul_packed_in`].
 //!
 //! The original scalar triple loops survive in [`crate::ops::naive`] as
 //! the reference the parity proptests and the `kernels` bench run
 //! against.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
 use crate::arena;
-use crate::hash::FastBuild;
 use crate::pool::{row_blocks, KernelPool};
 use crate::tensor::Tensor;
 
@@ -118,7 +120,8 @@ impl<'a> View<'a> {
 /// `Vec<f32>` alone only guarantees 4-byte alignment, and a misaligned
 /// base makes every B load a line-splitting access. The buffer comes
 /// from the installed tensor arena when there is one (zeroed, so the
-/// padding past `n` is zero either way); [`gemm`] returns it there.
+/// padding past `n` is zero either way); [`gemm_into`] and a dropped
+/// [`PackedWeight`] return it there.
 fn pack_b(b: View, k: usize, n: usize) -> (Vec<f32>, usize) {
     let strips = n.div_ceil(NR);
     let (mut buf, off) = arena::acquire_scratch(strips * k * NR);
@@ -372,37 +375,9 @@ fn gemm_row_block(i0: usize, c_rows: &mut [f32], ldc: usize, a: View, b: Packed,
     }
 }
 
-/// Retained packed-B images, keyed by the B tensor's snapshot stamp
-/// (see [`Tensor::stamp`]) plus the transpose flag. A weight matrix is
-/// the B operand of one forward and one input-gradient GEMM *per slice
-/// per micro-batch*, so under slice-level scheduling the same bytes
-/// would otherwise be repacked dozens of times per iteration — and the
-/// dgrad form packs through a column-strided transposed view, the
-/// slowest access pattern in the engine. Stamps are never reused and
-/// are re-issued on any mutable access, so a hit is guaranteed to
-/// serve bytes identical to what `pack_b` would produce; results are
-/// bitwise unchanged. The cache is thread-local (stage threads each
-/// pack once) and size-capped: exceeding [`PACK_CACHE_CAP`] clears it,
-/// bounding memory at ~8 MiB per thread even when one-shot operands
-/// churn through.
-struct PackCache {
-    map: HashMap<(u64, bool), (Vec<f32>, usize), FastBuild>,
-    elems: usize,
-}
-
-/// Total retained f32 elements per thread before the cache is cleared.
-const PACK_CACHE_CAP: usize = 2 << 20;
-
-thread_local! {
-    static PACK_CACHE: RefCell<PackCache> = RefCell::new(PackCache {
-        map: HashMap::default(),
-        elems: 0,
-    });
-}
-
 /// Runs the row blocks of `dst ← epi(A · B)` over the pool, with B
 /// already packed. `dst` starts at output element `(0, 0)` and has row
-/// stride `ldc`.
+/// stride `ldc`. With `k == 0` the product is zero.
 fn run(
     pool: &KernelPool,
     m: usize,
@@ -412,6 +387,17 @@ fn run(
     ldc: usize,
     epi: Epilogue,
 ) {
+    if m == 0 || b.n == 0 {
+        return;
+    }
+    if b.k == 0 {
+        if !epi.accumulate {
+            for row in dst.chunks_mut(ldc).take(m) {
+                row[..b.n].fill(0.0);
+            }
+        }
+        return;
+    }
     let flops = 2usize
         .saturating_mul(m)
         .saturating_mul(b.n)
@@ -429,57 +415,12 @@ fn run(
     });
 }
 
-/// Shared engine: logical `C[m,n] = A[m,k] · B[k,n]` with either operand
-/// possibly a transposed view. Row blocks of C fan out over the pool.
-/// `b_stamp` opts the packed B image into the thread-local [`PackCache`]
-/// — pass it when B is long-lived and reused (weights), `None` when it
-/// is a one-shot operand (the wgrad form's dC).
-fn gemm(
-    pool: &KernelPool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: View,
-    b: View,
-    b_stamp: Option<u64>,
-) -> Tensor {
-    if m == 0 || n == 0 || k == 0 {
-        return Tensor::zeros(m, n);
-    }
-    // Every output element is stored on the first KC pass (the kernel
-    // skips the C read when `pk == 0`), so the zero-fill would be dead.
-    let mut out = Tensor::uninit(m, n);
-    match b_stamp {
-        Some(stamp) => PACK_CACHE.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            let key = (stamp, b.trans);
-            if !cache.map.contains_key(&key) {
-                let (buf, off) = pack_b(b, k, n);
-                if cache.elems + buf.len() > PACK_CACHE_CAP {
-                    cache.map.clear();
-                    cache.elems = 0;
-                }
-                cache.elems += buf.len();
-                cache.map.insert(key, (buf, off));
-            }
-            let (buf, off) = &cache.map[&key];
-            let packed = Packed {
-                strips: &buf[*off..],
-                k,
-                n,
-            };
-            run(pool, m, a, packed, out.data_mut(), n, Epilogue::STORE);
-        }),
-        None => gemm_into(pool, [m, n, k], a, b, out.data_mut(), n, Epilogue::STORE),
-    }
-    out
-}
-
 /// The engine into caller-owned storage: `dst ← epi(A[m,k] · B[k,n])`,
 /// where output row `i` is `dst[i * ldc..][..n]` — a whole row-major
 /// tensor (`ldc == n`) or a column block of a wider one. B is packed
-/// fresh on every call (no [`PackCache`] entry), for one-shot operands
-/// such as attention's activations. With `k == 0` the product is zero.
+/// fresh on every call; a weight that is the B operand of many GEMMs is
+/// packed once instead, as a [`PackedWeight`]. With `k == 0` the product
+/// is zero.
 pub(crate) fn gemm_into(
     pool: &KernelPool,
     [m, n, k]: [usize; 3],
@@ -489,16 +430,10 @@ pub(crate) fn gemm_into(
     ldc: usize,
     epi: Epilogue,
 ) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        if !epi.accumulate {
-            for row in dst.chunks_mut(ldc).take(m) {
-                row[..n].fill(0.0);
-            }
-        }
-        return;
+    if m == 0 || n == 0 || k == 0 {
+        // Nothing to pack; `run` handles the degenerate shapes.
+        let empty = Packed { strips: &[], k, n };
+        return run(pool, m, a, empty, dst, ldc, epi);
     }
     let (b_buf, b_off) = pack_b(b, k, n);
     let packed = Packed {
@@ -508,6 +443,101 @@ pub(crate) fn gemm_into(
     };
     run(pool, m, a, packed, dst, ldc, epi);
     arena::release_scratch(n.div_ceil(NR) * k * NR, b_buf);
+}
+
+/// Shared engine: a fresh `C[m,n] = A[m,k] · B[k,n]`, with either
+/// operand possibly a transposed view. Row blocks of C fan out over the
+/// pool.
+fn gemm(pool: &KernelPool, [m, n, k]: [usize; 3], a: View, b: View) -> Tensor {
+    // Every output element is stored on the first KC pass (the kernel
+    // skips the C read when `pk == 0`), so the zero-fill would be dead.
+    let mut out = Tensor::uninit(m, n);
+    gemm_into(pool, [m, n, k], a, b, out.data_mut(), n, Epilogue::STORE);
+    out
+}
+
+/// A weight matrix packed once as the right-hand operand of the GEMM
+/// engine: its `NR`-wide strips, in the orientation of one of the two
+/// GEMMs a weight `W` is the B operand of — the forward `x · W`
+/// ([`PackedWeight::forward`]) or the input gradient `dy · Wᵀ`
+/// ([`PackedWeight::dgrad`], the transpose absorbed by packing).
+///
+/// Under slice-level scheduling each weight feeds one forward and one
+/// input-gradient GEMM per slice per micro-batch; packing on every call
+/// would repack the same bytes dozens of times per iteration (and the
+/// dgrad orientation packs through a column-strided view, the slowest
+/// access pattern in the engine). Build the image once while the weight
+/// is unchanged and run every such GEMM on it with [`matmul_packed_in`]:
+/// the strips are exactly what a fresh pack produces, so results are
+/// bitwise those of [`matmul_in`] / [`matmul_dgrad_in`].
+///
+/// The image is a snapshot: it does not see later writes to the weight.
+/// Its buffer comes from (and on drop returns to) the installed tensor
+/// arena, if any.
+pub struct PackedWeight {
+    buf: Vec<f32>,
+    off: usize,
+    k: usize,
+    n: usize,
+}
+
+impl PackedWeight {
+    /// The image of `w` for the forward GEMM `x · w`.
+    pub fn forward(w: &Tensor) -> Self {
+        Self::pack(View::normal(w), w.rows(), w.cols())
+    }
+
+    /// The image of `w` for the input-gradient GEMM `dy · wᵀ`.
+    pub fn dgrad(w: &Tensor) -> Self {
+        Self::pack(View::transposed(w), w.cols(), w.rows())
+    }
+
+    fn pack(b: View, k: usize, n: usize) -> Self {
+        let (buf, off) = pack_b(b, k, n);
+        PackedWeight { buf, off, k, n }
+    }
+
+    fn len(&self) -> usize {
+        self.n.div_ceil(NR) * self.k * NR
+    }
+
+    fn packed(&self) -> Packed<'_> {
+        Packed {
+            strips: &self.buf[self.off..],
+            k: self.k,
+            n: self.n,
+        }
+    }
+}
+
+impl Drop for PackedWeight {
+    fn drop(&mut self) {
+        let len = self.len();
+        arena::release_scratch(len, std::mem::take(&mut self.buf));
+    }
+}
+
+/// `C = A · B` on a worker pool, with B a prepacked [`PackedWeight`] —
+/// bitwise [`matmul_in`] with the forward image, [`matmul_dgrad_in`]
+/// with the dgrad image.
+///
+/// # Panics
+///
+/// Panics if `a.cols()` is not the image's inner dimension.
+pub fn matmul_packed_in(pool: &KernelPool, a: &Tensor, b: &PackedWeight) -> Tensor {
+    assert_eq!(a.cols(), b.k, "packed matmul inner dimension mismatch");
+    let mut out = Tensor::uninit(a.rows(), b.n);
+    let n = b.n;
+    run(
+        pool,
+        a.rows(),
+        View::normal(a),
+        b.packed(),
+        out.data_mut(),
+        n,
+        Epilogue::STORE,
+    );
+    out
 }
 
 /// `C = A · B`.
@@ -528,12 +558,9 @@ pub fn matmul_in(pool: &KernelPool, a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     gemm(
         pool,
-        a.rows(),
-        b.cols(),
-        a.cols(),
+        [a.rows(), b.cols(), a.cols()],
         View::normal(a),
         View::normal(b),
-        Some(b.stamp()),
     )
 }
 
@@ -556,12 +583,9 @@ pub fn matmul_dgrad_in(pool: &KernelPool, dc: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(dc.cols(), b.cols(), "dgrad dimension mismatch");
     gemm(
         pool,
-        dc.rows(),
-        b.rows(),
-        dc.cols(),
+        [dc.rows(), b.rows(), dc.cols()],
         View::normal(dc),
         View::transposed(b),
-        Some(b.stamp()),
     )
 }
 
@@ -584,13 +608,40 @@ pub fn matmul_wgrad_in(pool: &KernelPool, a: &Tensor, dc: &Tensor) -> Tensor {
     assert_eq!(a.rows(), dc.rows(), "wgrad dimension mismatch");
     gemm(
         pool,
-        a.cols(),
-        dc.cols(),
-        a.rows(),
+        [a.cols(), dc.cols(), a.rows()],
         View::transposed(a),
         View::normal(dc),
-        None,
     )
+}
+
+/// Accumulating weight gradient on a worker pool: `dst += Aᵀ · dC`, added
+/// through the engine's epilogue as each output tile finishes — no `dB`
+/// temporary. Bitwise [`matmul_wgrad_in`] followed by
+/// [`Tensor::add_assign`] into `dst`.
+///
+/// # Panics
+///
+/// Panics if row counts disagree or `dst` is not `[a.cols(), dc.cols()]`.
+pub fn matmul_wgrad_acc_in(pool: &KernelPool, a: &Tensor, dc: &Tensor, dst: &mut Tensor) {
+    assert_eq!(a.rows(), dc.rows(), "wgrad dimension mismatch");
+    assert_eq!(
+        (dst.rows(), dst.cols()),
+        (a.cols(), dc.cols()),
+        "wgrad destination shape mismatch"
+    );
+    let ldc = dst.cols();
+    gemm_into(
+        pool,
+        [a.cols(), dc.cols(), a.rows()],
+        View::transposed(a),
+        View::normal(dc),
+        dst.data_mut(),
+        ldc,
+        Epilogue {
+            alpha: 1.0,
+            accumulate: true,
+        },
+    );
 }
 
 #[cfg(test)]

@@ -14,17 +14,8 @@
 //! pooling is invisible to callers and to results.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::arena;
-
-/// Source of snapshot stamps. Never reused, so a stamp identifies one
-/// immutable state of one tensor's payload for the life of the process.
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_stamp() -> u64 {
-    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A dense row-major matrix of `f32`.
 pub struct Tensor {
@@ -33,10 +24,6 @@ pub struct Tensor {
     /// Start of the payload inside `data` (0 for plain allocations,
     /// an alignment offset for arena-served buffers).
     off: usize,
-    /// Snapshot id: re-issued on every mutable access, so equal stamps
-    /// imply identical payloads. Keys derived caches (packed GEMM
-    /// operands) that must go stale the moment a weight is updated.
-    stamp: u64,
     data: Vec<f32>,
 }
 
@@ -56,7 +43,6 @@ impl Clone for Tensor {
                     rows: self.rows,
                     cols: self.cols,
                     off,
-                    stamp: fresh_stamp(),
                     data,
                 };
             }
@@ -65,9 +51,15 @@ impl Clone for Tensor {
             rows: self.rows,
             cols: self.cols,
             off: 0,
-            stamp: fresh_stamp(),
             data: self.data().to_vec(),
         }
+    }
+}
+
+/// The empty `0×0` tensor; it holds no allocation.
+impl Default for Tensor {
+    fn default() -> Self {
+        Tensor::from_vec(0, 0, Vec::new())
     }
 }
 
@@ -98,7 +90,6 @@ impl Tensor {
                     rows,
                     cols,
                     off,
-                    stamp: fresh_stamp(),
                     data,
                 };
             }
@@ -107,7 +98,6 @@ impl Tensor {
             rows,
             cols,
             off: 0,
-            stamp: fresh_stamp(),
             data: vec![0.0; n],
         }
     }
@@ -123,7 +113,6 @@ impl Tensor {
                     rows,
                     cols,
                     off,
-                    stamp: fresh_stamp(),
                     data,
                 };
             }
@@ -132,7 +121,6 @@ impl Tensor {
             rows,
             cols,
             off: 0,
-            stamp: fresh_stamp(),
             data: vec![0.0; n],
         }
     }
@@ -148,7 +136,6 @@ impl Tensor {
             rows,
             cols,
             off: 0,
-            stamp: fresh_stamp(),
             data,
         }
     }
@@ -161,7 +148,6 @@ impl Tensor {
             rows,
             cols,
             off,
-            stamp: fresh_stamp(),
             data,
         }
     }
@@ -202,15 +188,8 @@ impl Tensor {
 
     /// Mutable borrow of the underlying row-major data.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        self.stamp = fresh_stamp();
         let n = self.rows * self.cols;
         &mut self.data[self.off..self.off + n]
-    }
-
-    /// The payload's snapshot id — changes on every mutable access, so
-    /// two reads returning the same stamp saw the same bytes.
-    pub(crate) fn stamp(&self) -> u64 {
-        self.stamp
     }
 
     /// One element.
@@ -224,7 +203,6 @@ impl Tensor {
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         debug_assert!(r < self.rows && c < self.cols);
-        self.stamp = fresh_stamp();
         self.data[self.off + r * self.cols + c] = v;
     }
 
@@ -238,7 +216,6 @@ impl Tensor {
     /// Mutable borrow of one row.
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        self.stamp = fresh_stamp();
         let start = self.off + r * self.cols;
         &mut self.data[start..start + self.cols]
     }
@@ -322,7 +299,6 @@ impl Tensor {
     /// Panics if column counts differ.
     pub fn append_rows(&mut self, other: &Tensor) {
         assert_eq!(self.cols, other.cols, "column mismatch in append_rows");
-        self.stamp = fresh_stamp();
         let n = self.rows * self.cols;
         self.data.truncate(self.off + n);
         self.data.extend_from_slice(other.data());

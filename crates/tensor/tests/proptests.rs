@@ -8,8 +8,9 @@ use mepipe_tensor::{
     ops::{
         causal_attention_backward_in, causal_attention_heads_backward_in,
         causal_attention_heads_in, causal_attention_in, cross_entropy, matmul, matmul_dgrad,
-        matmul_dgrad_in, matmul_in, matmul_wgrad, matmul_wgrad_in, naive, rmsnorm,
-        rmsnorm_backward, silu, silu_backward, AttentionGrads, AttentionSaved,
+        matmul_dgrad_in, matmul_in, matmul_packed_in, matmul_wgrad, matmul_wgrad_acc_in,
+        matmul_wgrad_in, naive, rmsnorm, rmsnorm_backward, silu, silu_backward, AttentionGrads,
+        AttentionSaved, PackedWeight,
     },
     KernelPool, Tensor,
 };
@@ -326,12 +327,76 @@ proptest! {
             multi_head(&KernelPool::new(workers), &q, &k, &v, &dout, offset, heads, [&dq0, &dk0, &dv0])
         };
         let (one, three) = (run(1), run(3));
-        let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&one.out), bits(&three.out));
         prop_assert_eq!(bits(&one.saved.probs), bits(&three.saved.probs));
         prop_assert_eq!(bits(&one.dq), bits(&three.dq));
         prop_assert_eq!(bits(&one.dk), bits(&three.dk));
         prop_assert_eq!(bits(&one.dv), bits(&three.dv));
+    }
+}
+
+fn bits(x: &Tensor) -> Vec<u32> {
+    x.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Inner dimensions around the engine's `KC = 256` panel depth: a single
+/// pass, an exact panel, and multi-pass sweeps (where an accumulating
+/// epilogue runs through a scratch tile).
+fn inner_dims() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![1usize, 7, 255, 256, 257, 520])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A GEMM on a packed weight image is bitwise the GEMM that packs the
+    /// weight itself: the forward image against `matmul_in`, the dgrad
+    /// image against `matmul_dgrad_in`, on 1 and 3 kernel workers. Row
+    /// and column counts straddle the 6-row tile and 32-wide strip edges.
+    #[test]
+    fn packed_weight_gemms_are_bitwise_the_unpacked_ones(
+        m in 1usize..60,
+        k in inner_dims(),
+        n in 1usize..70,
+        seed in 0u64..500,
+    ) {
+        let mut r = rng(seed);
+        let a = uniform(m, k, 1.0, &mut r);
+        let w = uniform(k, n, 1.0, &mut r);
+        let dc = uniform(m, n, 1.0, &mut r);
+        let serial = KernelPool::shared_serial();
+        let want_fwd = bits(&matmul_in(serial, &a, &w));
+        let want_dgrad = bits(&matmul_dgrad_in(serial, &dc, &w));
+        let (fwd, dgrad) = (PackedWeight::forward(&w), PackedWeight::dgrad(&w));
+        for workers in [1, 3] {
+            let pool = KernelPool::new(workers);
+            prop_assert_eq!(bits(&matmul_packed_in(&pool, &a, &fwd)), want_fwd.clone());
+            prop_assert_eq!(bits(&matmul_packed_in(&pool, &dc, &dgrad)), want_dgrad.clone());
+        }
+    }
+
+    /// The accumulating weight gradient is bitwise `matmul_wgrad_in`
+    /// followed by `add_assign` into a randomly pre-filled destination, on
+    /// 1 and 3 kernel workers, with the inner (token) dimension on both
+    /// sides of `KC`.
+    #[test]
+    fn wgrad_accumulate_is_bitwise_wgrad_then_add(
+        rows in inner_dims(),
+        m in 1usize..60,
+        n in 1usize..70,
+        seed in 0u64..500,
+    ) {
+        let mut r = rng(seed);
+        let a = uniform(rows, m, 1.0, &mut r);
+        let dc = uniform(rows, n, 1.0, &mut r);
+        let dst = uniform(m, n, 1.0, &mut r);
+        let mut want = dst.clone();
+        want.add_assign(&matmul_wgrad_in(KernelPool::shared_serial(), &a, &dc));
+        for workers in [1, 3] {
+            let mut got = dst.clone();
+            matmul_wgrad_acc_in(&KernelPool::new(workers), &a, &dc, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 }
 

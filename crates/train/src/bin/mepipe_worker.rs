@@ -750,14 +750,6 @@ fn run_job(args: &Args) {
     };
     let mut last_bits = f64::NAN.to_bits();
     for k in args.start_iter..args.iters {
-        if args.kill_at_iter == Some(k) {
-            let why = format!("chaos: stage {stage} aborting at the start of iteration {k}");
-            events.event(Level::Error, None, Some(stage), &why, &[]);
-            if let Some(path) = &args.postmortem {
-                let _ = events.dump_postmortem(path, &why, Some(&reg));
-            }
-            std::process::abort();
-        }
         // Old mesh dirs only hold socket files nobody will connect to
         // again (starting iteration k means every peer finished k-1);
         // stage 0 prunes with one iteration of slack.
@@ -766,6 +758,26 @@ fn run_job(args: &Args) {
         }
         let mesh = args.dir.join(format!("iter-{k}"));
         std::fs::create_dir_all(&mesh).expect("mesh dir");
+        if args.kill_at_iter == Some(k) {
+            // Die only once every peer has bound its socket for iteration
+            // k, which a stage does after logging iteration k − 1: the
+            // kill then always loses exactly the iterations logged since
+            // the last checkpoint, instead of racing a peer's last log
+            // line. (Bounded, in case a peer never gets here.)
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            while (0..sc.stages)
+                .any(|s| s != stage && !SocketTransport::uds_path(&mesh, s).exists())
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let why = format!("chaos: stage {stage} aborting at the start of iteration {k}");
+            events.event(Level::Error, None, Some(stage), &why, &[]);
+            if let Some(path) = &args.postmortem {
+                let _ = events.dump_postmortem(path, &why, Some(&reg));
+            }
+            std::process::abort();
+        }
         let transport = SocketTransport::with_config(
             SocketMode::Uds(mesh),
             sc.stages,

@@ -11,20 +11,111 @@
 //!   positions (valid because slices are processed in reverse order), and
 //!   returns the input gradient plus a bag of deferred weight-gradient
 //!   GEMMs;
-//! * `apply_wgrads` executes those GEMMs — the op MEPipe schedules freely.
+//! * `apply_wgrads` executes those GEMMs — the op MEPipe schedules freely —
+//!   accumulating each straight into its weight's gradient.
+//!
+//! Every GEMM whose right-hand operand is a weight runs on a packed image
+//! of that weight ([`LayerPack`]), built once per set of weights by
+//! [`WeightImages`] instead of once per slice.
 
 use std::rc::Rc;
 
 use mepipe_tensor::{
     ops::{
-        causal_attention_heads_backward_in, causal_attention_heads_in, matmul_dgrad_in, matmul_in,
-        matmul_wgrad_in, rmsnorm_backward_in, rmsnorm_in, silu, silu_backward, AttentionGrads,
-        AttentionSaved, RmsNormSaved,
+        causal_attention_heads_backward_in, causal_attention_heads_in, matmul_packed_in,
+        matmul_wgrad_acc_in, rmsnorm_backward_in, rmsnorm_in, silu, silu_backward, AttentionGrads,
+        AttentionSaved, PackedWeight, RmsNormSaved,
     },
     KernelPool, Tensor,
 };
 
-use crate::params::LayerParams;
+use crate::params::{LayerParams, ModelParams};
+
+/// The seven projection weights of one layer, packed as GEMM right-hand
+/// operands in one orientation: [`LayerPack::forward`] serves
+/// [`forward_slice`], [`LayerPack::dgrad`] serves
+/// [`backward_input_slice`].
+pub struct LayerPack {
+    wq: PackedWeight,
+    wk: PackedWeight,
+    wv: PackedWeight,
+    wo: PackedWeight,
+    wg: PackedWeight,
+    wu: PackedWeight,
+    wd: PackedWeight,
+}
+
+impl LayerPack {
+    fn build(p: &LayerParams, pack: fn(&Tensor) -> PackedWeight) -> Self {
+        LayerPack {
+            wq: pack(&p.wq),
+            wk: pack(&p.wk),
+            wv: pack(&p.wv),
+            wo: pack(&p.wo),
+            wg: pack(&p.wg),
+            wu: pack(&p.wu),
+            wd: pack(&p.wd),
+        }
+    }
+
+    /// Forward images (`x · W`) of a layer's weights.
+    pub fn forward(p: &LayerParams) -> Self {
+        Self::build(p, PackedWeight::forward)
+    }
+
+    /// Input-gradient images (`dy · Wᵀ`) of a layer's weights.
+    pub fn dgrad(p: &LayerParams) -> Self {
+        Self::build(p, PackedWeight::dgrad)
+    }
+}
+
+/// Packed weight images of one model, built lazily: each layer's forward
+/// and dgrad [`LayerPack`] and the output head's two images are packed on
+/// first use and kept until the set drops. The images snapshot the
+/// weights, so a set lives no longer than the weights stay unchanged —
+/// one iteration of a pipeline stage, one batch of the reference. A
+/// stage only packs the layers it touches, and only in the orientations
+/// it uses.
+pub struct WeightImages {
+    forward: Vec<Option<LayerPack>>,
+    dgrad: Vec<Option<LayerPack>>,
+    head_forward: Option<PackedWeight>,
+    head_dgrad: Option<PackedWeight>,
+}
+
+impl WeightImages {
+    /// An empty set for a model of `layers` decoder layers.
+    pub fn new(layers: usize) -> Self {
+        WeightImages {
+            forward: (0..layers).map(|_| None).collect(),
+            dgrad: (0..layers).map(|_| None).collect(),
+            head_forward: None,
+            head_dgrad: None,
+        }
+    }
+
+    /// Layer `li`'s forward images.
+    pub fn forward(&mut self, model: &ModelParams, li: usize) -> &LayerPack {
+        self.forward[li].get_or_insert_with(|| LayerPack::forward(&model.layers[li]))
+    }
+
+    /// Layer `li`'s input-gradient images.
+    pub fn dgrad(&mut self, model: &ModelParams, li: usize) -> &LayerPack {
+        self.dgrad[li].get_or_insert_with(|| LayerPack::dgrad(&model.layers[li]))
+    }
+
+    /// The output head's forward image.
+    pub fn head_forward(&mut self, model: &ModelParams) -> &PackedWeight {
+        self.head_forward
+            .get_or_insert_with(|| PackedWeight::forward(&model.head))
+    }
+
+    /// The output head's input-gradient image.
+    pub fn head_dgrad(&mut self, model: &ModelParams) -> &PackedWeight {
+        self.head_dgrad
+            .get_or_insert_with(|| PackedWeight::dgrad(&model.head))
+    }
+}
 
 /// Per-layer per-sample key/value cache (grows slice by slice).
 #[derive(Debug, Clone, Default)]
@@ -142,9 +233,9 @@ impl LayerFwdSaved {
     }
 }
 
-/// Forward of one token slice through one decoder layer. All hot kernels
-/// run on `pool` — pass [`KernelPool::shared_serial`] for single-threaded
-/// execution.
+/// Forward of one token slice through one decoder layer, with `w` the
+/// layer's forward images. All hot kernels run on `pool` — pass
+/// [`KernelPool::shared_serial`] for single-threaded execution.
 ///
 /// `offset` is the slice's first absolute token position; the layer's KV
 /// cache must contain exactly `offset` tokens on entry.
@@ -155,6 +246,7 @@ impl LayerFwdSaved {
 pub fn forward_slice(
     pool: &KernelPool,
     p: &LayerParams,
+    w: &LayerPack,
     x: &Tensor,
     kv: &mut Kv,
     offset: usize,
@@ -163,27 +255,27 @@ pub fn forward_slice(
     assert_eq!(kv.len(), offset, "KV cache out of sync with slice offset");
 
     let (normed1, norm1_saved) = rmsnorm_in(pool, x, &p.norm1);
-    let q = matmul_in(pool, &normed1, &p.wq);
-    let k_new = matmul_in(pool, &normed1, &p.wk);
-    let v_new = matmul_in(pool, &normed1, &p.wv);
+    let q = matmul_packed_in(pool, &normed1, &w.wq);
+    let k_new = matmul_packed_in(pool, &normed1, &w.wk);
+    let v_new = matmul_packed_in(pool, &normed1, &w.wv);
     kv.append(k_new, v_new);
     let k_all = kv.k.as_ref().expect("cache nonempty after append");
     let v_all = kv.v.as_ref().expect("cache nonempty after append");
 
     let (attn_concat, attn_saved) =
         causal_attention_heads_in(pool, &q, k_all, v_all, offset, heads);
-    let attn_out = matmul_in(pool, &attn_concat, &p.wo);
+    let attn_out = matmul_packed_in(pool, &attn_concat, &w.wo);
     let resid1 = x.add(&attn_out);
 
     let (normed2, norm2_saved) = rmsnorm_in(pool, &resid1, &p.norm2);
-    let gate_pre = matmul_in(pool, &normed2, &p.wg);
-    let up = matmul_in(pool, &normed2, &p.wu);
+    let gate_pre = matmul_packed_in(pool, &normed2, &w.wg);
+    let up = matmul_packed_in(pool, &normed2, &w.wu);
     let gate_act = silu(&gate_pre);
     let mut mlp_act = gate_act.clone();
     for (a, b) in mlp_act.data_mut().iter_mut().zip(up.data()) {
         *a *= b;
     }
-    let mlp_out = matmul_in(pool, &mlp_act, &p.wd);
+    let mlp_out = matmul_packed_in(pool, &mlp_act, &w.wd);
     let y = resid1.add(&mlp_out);
 
     let saved = LayerFwdSaved {
@@ -214,7 +306,8 @@ pub struct BackwardOut {
     pub dnorm2: Tensor,
 }
 
-/// Input-gradient backward of one slice, on `pool`.
+/// Input-gradient backward of one slice, on `pool`, with `w` the layer's
+/// dgrad images.
 ///
 /// `dkv` holds per-layer dK/dV accumulators over the *whole* sample; it
 /// must already contain the contributions of every later slice (slices
@@ -222,6 +315,7 @@ pub struct BackwardOut {
 pub fn backward_input_slice(
     pool: &KernelPool,
     p: &LayerParams,
+    w: &LayerPack,
     saved: &LayerFwdSaved,
     kv: &Kv,
     dkv: &mut Kv,
@@ -240,7 +334,7 @@ pub fn backward_input_slice(
     }
 
     // MLP backward.
-    let d_mlp_act = matmul_dgrad_in(pool, dy, &p.wd);
+    let d_mlp_act = matmul_packed_in(pool, dy, &w.wd);
     let mut d_silu = d_mlp_act.clone();
     for (a, b) in d_silu.data_mut().iter_mut().zip(saved.up.data()) {
         *a *= b;
@@ -250,14 +344,14 @@ pub fn backward_input_slice(
     for (a, b) in d_up.data_mut().iter_mut().zip(saved.gate_act.data()) {
         *a *= b;
     }
-    let mut d_normed2 = matmul_dgrad_in(pool, &d_gate_pre, &p.wg);
-    d_normed2.add_assign(&matmul_dgrad_in(pool, &d_up, &p.wu));
+    let mut d_normed2 = matmul_packed_in(pool, &d_gate_pre, &w.wg);
+    d_normed2.add_assign(&matmul_packed_in(pool, &d_up, &w.wu));
     let (mut d_resid1, dnorm2) =
         rmsnorm_backward_in(pool, &d_normed2, &p.norm2, &saved.norm2_saved);
     d_resid1.add_assign(dy);
 
     // Attention output projection.
-    let d_attn_concat = matmul_dgrad_in(pool, &d_resid1, &p.wo);
+    let d_attn_concat = matmul_packed_in(pool, &d_resid1, &w.wo);
 
     // Attention backward over every head; accumulates the prefix dK/dV
     // in place.
@@ -280,9 +374,9 @@ pub fn backward_input_slice(
     let dk_own = dkv.k.as_ref().expect("allocated").slice_rows(offset, t);
     let dv_own = dkv.v.as_ref().expect("allocated").slice_rows(offset, t);
 
-    let mut d_normed1 = matmul_dgrad_in(pool, &dq, &p.wq);
-    d_normed1.add_assign(&matmul_dgrad_in(pool, &dk_own, &p.wk));
-    d_normed1.add_assign(&matmul_dgrad_in(pool, &dv_own, &p.wv));
+    let mut d_normed1 = matmul_packed_in(pool, &dq, &w.wq);
+    d_normed1.add_assign(&matmul_packed_in(pool, &dk_own, &w.wk));
+    d_normed1.add_assign(&matmul_packed_in(pool, &dv_own, &w.wv));
     let (mut dx, dnorm1) = rmsnorm_backward_in(pool, &d_normed1, &p.norm1, &saved.norm1_saved);
     dx.add_assign(&d_resid1);
 
@@ -315,11 +409,10 @@ pub fn backward_input_slice(
     }
 }
 
-/// Executes deferred weight-gradient GEMMs on `pool`, accumulating into
-/// `grads`.
+/// Executes deferred weight-gradient GEMMs on `pool`, each accumulating
+/// in place into its weight's gradient in `grads`.
 pub fn apply_wgrads(pool: &KernelPool, grads: &mut LayerParams, gemms: &[WgradGemm]) {
     for g in gemms {
-        let dw = matmul_wgrad_in(pool, &g.input, &g.out_grad);
         let target = match g.weight {
             WeightId::Wq => &mut grads.wq,
             WeightId::Wk => &mut grads.wk,
@@ -329,7 +422,7 @@ pub fn apply_wgrads(pool: &KernelPool, grads: &mut LayerParams, gemms: &[WgradGe
             WeightId::Wu => &mut grads.wu,
             WeightId::Wd => &mut grads.wd,
         };
-        target.add_assign(&dw);
+        matmul_wgrad_acc_in(pool, &g.input, &g.out_grad, target);
     }
 }
 
@@ -341,25 +434,26 @@ mod tests {
 
     use crate::params::LayerParams as LP;
 
-    fn setup() -> (LP, Tensor) {
+    fn setup() -> (LP, Tensor, LayerPack, LayerPack) {
         let cfg = TransformerConfig::tiny(1);
         let mut r = rng(71);
         let p = LP::init(&cfg, &mut r);
         let x = uniform(16, cfg.hidden, 1.0, &mut r);
-        (p, x)
+        let (fw, bw) = (LayerPack::forward(&p), LayerPack::dgrad(&p));
+        (p, x, fw, bw)
     }
 
     #[test]
     fn sliced_forward_equals_full_forward() {
-        let (p, x) = setup();
+        let (p, x, fw, _) = setup();
         let pool = KernelPool::serial();
         let mut kv_full = Kv::default();
-        let (y_full, _) = forward_slice(&pool, &p, &x, &mut kv_full, 0, 4);
+        let (y_full, _) = forward_slice(&pool, &p, &fw, &x, &mut kv_full, 0, 4);
         let mut kv = Kv::default();
         let mut parts = Vec::new();
         for i in 0..4 {
             let xs = x.slice_rows(i * 4, 4);
-            let (y, _) = forward_slice(&pool, &p, &xs, &mut kv, i * 4, 4);
+            let (y, _) = forward_slice(&pool, &p, &fw, &xs, &mut kv, i * 4, 4);
             parts.push(y);
         }
         let y_sliced = Tensor::vstack(&parts);
@@ -372,16 +466,16 @@ mod tests {
 
     #[test]
     fn sliced_backward_equals_full_backward() {
-        let (p, x) = setup();
+        let (p, x, fw, bw) = setup();
         let pool = KernelPool::serial();
         let mut r = rng(72);
         let dy = uniform(16, x.cols(), 1.0, &mut r);
 
         // Full-sequence reference.
         let mut kv_f = Kv::default();
-        let (_, saved_f) = forward_slice(&pool, &p, &x, &mut kv_f, 0, 4);
+        let (_, saved_f) = forward_slice(&pool, &p, &fw, &x, &mut kv_f, 0, 4);
         let mut dkv_f = Kv::default();
-        let out_f = backward_input_slice(&pool, &p, &saved_f, &kv_f, &mut dkv_f, &dy);
+        let out_f = backward_input_slice(&pool, &p, &bw, &saved_f, &kv_f, &mut dkv_f, &dy);
         let mut grads_f = p.zero_grads();
         apply_wgrads(&pool, &mut grads_f, &out_f.wgrads);
 
@@ -390,7 +484,7 @@ mod tests {
         let mut saves = Vec::new();
         for i in 0..4 {
             let xs = x.slice_rows(i * 4, 4);
-            let (_, sv) = forward_slice(&pool, &p, &xs, &mut kv, i * 4, 4);
+            let (_, sv) = forward_slice(&pool, &p, &fw, &xs, &mut kv, i * 4, 4);
             saves.push(sv);
         }
         let mut dkv = Kv::default();
@@ -400,6 +494,7 @@ mod tests {
             let out = backward_input_slice(
                 &pool,
                 &p,
+                &bw,
                 &saves[i],
                 &kv,
                 &mut dkv,
@@ -429,14 +524,15 @@ mod tests {
 
     #[test]
     fn backward_produces_seven_deferred_gemms() {
-        let (p, x) = setup();
+        let (p, x, fw, bw) = setup();
         let pool = KernelPool::serial();
         let mut kv = Kv::default();
-        let (_, saved) = forward_slice(&pool, &p, &x, &mut kv, 0, 4);
+        let (_, saved) = forward_slice(&pool, &p, &fw, &x, &mut kv, 0, 4);
         let mut dkv = Kv::default();
         let out = backward_input_slice(
             &pool,
             &p,
+            &bw,
             &saved,
             &kv,
             &mut dkv,
@@ -449,7 +545,7 @@ mod tests {
     fn pooled_layer_matches_serial_layer_bitwise() {
         // Kernel-level parallelism must not perturb the layer math at all:
         // forward outputs and every gradient are bit-identical.
-        let (p, x) = setup();
+        let (p, x, fw, bw) = setup();
         let serial = KernelPool::serial();
         let pooled = KernelPool::new(3);
         let mut r = rng(73);
@@ -457,9 +553,9 @@ mod tests {
 
         let run = |pool: &KernelPool| {
             let mut kv = Kv::default();
-            let (y, saved) = forward_slice(pool, &p, &x, &mut kv, 0, 4);
+            let (y, saved) = forward_slice(pool, &p, &fw, &x, &mut kv, 0, 4);
             let mut dkv = Kv::default();
-            let out = backward_input_slice(pool, &p, &saved, &kv, &mut dkv, &dy);
+            let out = backward_input_slice(pool, &p, &bw, &saved, &kv, &mut dkv, &dy);
             let mut grads = p.zero_grads();
             apply_wgrads(pool, &mut grads, &out.wgrads);
             (y, out.dx, grads)
@@ -474,8 +570,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of sync")]
     fn wrong_offset_panics() {
-        let (p, x) = setup();
+        let (p, x, fw, _) = setup();
         let mut kv = Kv::default();
-        forward_slice(&KernelPool::serial(), &p, &x, &mut kv, 3, 4);
+        forward_slice(&KernelPool::serial(), &p, &fw, &x, &mut kv, 3, 4);
     }
 }

@@ -12,8 +12,12 @@ pub struct Sgd {
 }
 
 impl Sgd {
-    /// Applies one step to a tensor.
+    /// Applies one step to a tensor. An empty gradient — a parameter a
+    /// stage's gradient shard did not write — leaves the weight as it is.
     pub fn step_tensor(&self, w: &mut Tensor, g: &Tensor) {
+        if g.is_empty() {
+            return;
+        }
         for (a, b) in w.data_mut().iter_mut().zip(g.data()) {
             *a -= self.lr * b;
         }
@@ -21,14 +25,13 @@ impl Sgd {
 
     /// Applies one step to a layer.
     pub fn step_layer(&self, p: &mut LayerParams, g: &LayerParams) {
-        p.for_each_with(g, |w, gr| {
-            for (a, b) in w.data_mut().iter_mut().zip(gr.data()) {
-                *a -= self.lr * b;
-            }
-        });
+        for (w, gr) in p.tensors_mut().into_iter().zip(g.tensors()) {
+            self.step_tensor(w, gr);
+        }
     }
 
-    /// Applies one step to the full model given grads of the same shape.
+    /// Applies one step to the full model given its gradients: a full
+    /// set, or one stage's shard (see [`ModelGrads`]).
     pub fn step_model(&self, m: &mut ModelParams, g: &ModelGrads) {
         self.step_tensor(&mut m.embedding, &g.embedding);
         for (lp, lg) in m.layers.iter_mut().zip(&g.layers) {
@@ -107,7 +110,14 @@ impl Adam {
 }
 
 /// Gradients matching a [`ModelParams`] layout.
-#[derive(Debug, Clone)]
+///
+/// A *full* set has every tensor at its parameter's shape. A *shard* —
+/// what one pipeline stage produces — allocates only the parameters the
+/// stage wrote and leaves every other tensor empty (`0×0`). Every
+/// gradient tensor is allocated zeroed and then only accumulated into, so
+/// no element is ever `-0.0`; that is what makes [`ModelGrads::merge`]'s
+/// "move, then add" bitwise equal to summing full sets from zero.
+#[derive(Debug, Clone, Default)]
 pub struct ModelGrads {
     /// Embedding gradient.
     pub embedding: Tensor,
@@ -130,25 +140,55 @@ impl ModelGrads {
         }
     }
 
+    /// An empty shard for a model of `layers` decoder layers: nothing
+    /// written, nothing allocated.
+    pub fn empty(layers: usize) -> Self {
+        Self {
+            layers: vec![LayerParams::default(); layers],
+            ..Self::default()
+        }
+    }
+
+    /// Every gradient tensor: embedding, each layer's, final norm, head.
+    pub fn tensors(&self) -> impl Iterator<Item = &Tensor> {
+        std::iter::once(&self.embedding)
+            .chain(self.layers.iter().flat_map(LayerParams::tensors))
+            .chain([&self.final_norm, &self.head])
+    }
+
+    /// Every gradient tensor, mutably, in [`tensors`](Self::tensors) order.
+    pub fn tensors_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        std::iter::once(&mut self.embedding)
+            .chain(self.layers.iter_mut().flat_map(LayerParams::tensors_mut))
+            .chain([&mut self.final_norm, &mut self.head])
+    }
+
+    /// Folds a shard into this set: a tensor only `shard` wrote moves in,
+    /// one both wrote is added (`self += shard`). Folding stage shards in
+    /// stage order into [`empty`](Self::empty) is bitwise the sum of the
+    /// full per-stage sets from [`zeros`](Self::zeros), in that order.
+    pub fn merge(&mut self, mut shard: ModelGrads) {
+        for (acc, g) in self.tensors_mut().zip(shard.tensors_mut()) {
+            if acc.is_empty() {
+                std::mem::swap(acc, g);
+            } else if !g.is_empty() {
+                acc.add_assign(g);
+            }
+        }
+    }
+
     /// Scales every gradient in place — e.g. the `1/replicas` averaging
     /// step of data parallelism.
     pub fn scale(&mut self, s: f32) {
-        self.embedding.scale(s);
-        for l in &mut self.layers {
-            l.for_each(|t| t.scale(s));
-        }
-        self.final_norm.scale(s);
-        self.head.scale(s);
+        self.tensors_mut().for_each(|t| t.scale(s));
     }
 
     /// Maximum absolute difference to another gradient set.
     pub fn max_abs_diff(&self, other: &ModelGrads) -> f32 {
-        let mut d = self.embedding.max_abs_diff(&other.embedding);
-        for (a, b) in self.layers.iter().zip(&other.layers) {
-            d = d.max(a.max_abs_diff(b));
-        }
-        d = d.max(self.final_norm.max_abs_diff(&other.final_norm));
-        d.max(self.head.max_abs_diff(&other.head))
+        self.tensors()
+            .zip(other.tensors())
+            .map(|(a, b)| a.max_abs_diff(b))
+            .fold(0.0, f32::max)
     }
 }
 

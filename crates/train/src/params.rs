@@ -4,8 +4,8 @@ use mepipe_model::config::TransformerConfig;
 use mepipe_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 
-/// Weights of one decoder layer.
-#[derive(Debug, Clone)]
+/// Weights of one decoder layer (all tensors empty by default).
+#[derive(Debug, Clone, Default)]
 pub struct LayerParams {
     /// Query projection `[h, h]`.
     pub wq: Tensor,
@@ -60,47 +60,43 @@ impl LayerParams {
         }
     }
 
-    /// Applies `f` to every weight tensor.
-    pub fn for_each(&mut self, mut f: impl FnMut(&mut Tensor)) {
-        f(&mut self.wq);
-        f(&mut self.wk);
-        f(&mut self.wv);
-        f(&mut self.wo);
-        f(&mut self.wg);
-        f(&mut self.wu);
-        f(&mut self.wd);
-        f(&mut self.norm1);
-        f(&mut self.norm2);
+    /// Every weight tensor, in declaration order.
+    pub fn tensors(&self) -> [&Tensor; 9] {
+        [
+            &self.wq,
+            &self.wk,
+            &self.wv,
+            &self.wo,
+            &self.wg,
+            &self.wu,
+            &self.wd,
+            &self.norm1,
+            &self.norm2,
+        ]
     }
 
-    /// Applies `f` to every (weight, gradient) pair.
-    pub fn for_each_with(&mut self, grads: &LayerParams, mut f: impl FnMut(&mut Tensor, &Tensor)) {
-        f(&mut self.wq, &grads.wq);
-        f(&mut self.wk, &grads.wk);
-        f(&mut self.wv, &grads.wv);
-        f(&mut self.wo, &grads.wo);
-        f(&mut self.wg, &grads.wg);
-        f(&mut self.wu, &grads.wu);
-        f(&mut self.wd, &grads.wd);
-        f(&mut self.norm1, &grads.norm1);
-        f(&mut self.norm2, &grads.norm2);
+    /// Every weight tensor, mutably, in declaration order.
+    pub fn tensors_mut(&mut self) -> [&mut Tensor; 9] {
+        [
+            &mut self.wq,
+            &mut self.wk,
+            &mut self.wv,
+            &mut self.wo,
+            &mut self.wg,
+            &mut self.wu,
+            &mut self.wd,
+            &mut self.norm1,
+            &mut self.norm2,
+        ]
     }
 
     /// Maximum absolute difference across all weights.
     pub fn max_abs_diff(&self, other: &LayerParams) -> f32 {
-        [
-            self.wq.max_abs_diff(&other.wq),
-            self.wk.max_abs_diff(&other.wk),
-            self.wv.max_abs_diff(&other.wv),
-            self.wo.max_abs_diff(&other.wo),
-            self.wg.max_abs_diff(&other.wg),
-            self.wu.max_abs_diff(&other.wu),
-            self.wd.max_abs_diff(&other.wd),
-            self.norm1.max_abs_diff(&other.norm1),
-            self.norm2.max_abs_diff(&other.norm2),
-        ]
-        .into_iter()
-        .fold(0.0, f32::max)
+        self.tensors()
+            .into_iter()
+            .zip(other.tensors())
+            .map(|(a, b)| a.max_abs_diff(b))
+            .fold(0.0, f32::max)
     }
 }
 

@@ -52,8 +52,8 @@ use mepipe_schedule::ir::{OpKind, Schedule};
 use mepipe_schedule::validate::peak_in_flight;
 use mepipe_tensor::{
     ops::{
-        cross_entropy_in, embedding, embedding_backward, matmul_dgrad_in, matmul_in,
-        matmul_wgrad_in, rmsnorm_backward_in, rmsnorm_in,
+        cross_entropy_in, embedding, embedding_backward, matmul_packed_in, matmul_wgrad_acc_in,
+        rmsnorm_backward_in, rmsnorm_in,
     },
     ArenaStats, KernelPool, Tensor, TensorArena,
 };
@@ -62,10 +62,13 @@ use mepipe_trace::{
 };
 
 use crate::{
-    layer::{apply_wgrads, backward_input_slice, forward_slice, Kv, LayerFwdSaved, WgradGemm},
+    layer::{
+        apply_wgrads, backward_input_slice, forward_slice, Kv, LayerFwdSaved, WeightImages,
+        WgradGemm,
+    },
     memtrack::{MemError, MemTracker},
     optim::{ModelGrads, Sgd},
-    params::ModelParams,
+    params::{LayerParams, ModelParams},
     reference::add_grads,
 };
 
@@ -86,7 +89,8 @@ pub enum WgradMode {
 pub struct RunStats {
     /// Mean next-token cross-entropy over the whole batch.
     pub loss: f64,
-    /// Accumulated model gradients (already scaled like the reference).
+    /// Accumulated model gradients (already scaled like the reference): a
+    /// full set, merged from the stages' shards in stage order.
     pub grads: ModelGrads,
     /// Peak live activation bytes per stage.
     pub peak_bytes: Vec<usize>,
@@ -124,7 +128,12 @@ pub struct StageRunStats {
     /// This stage's share of the loss sum (the full loss is the sum of
     /// every stage's share, added in stage order).
     pub loss_sum: f64,
-    /// Gradients for the layers this stage owns (zero elsewhere).
+    /// This stage's gradient shard: a tensor for every parameter the
+    /// stage wrote, every other tensor empty (`0×0`). Under bidirectional
+    /// placements two stages write the same layers (and the embedding and
+    /// head); each shard then holds only its own stage's contribution.
+    /// [`Sgd::step_model`] leaves a weight with an empty gradient as it
+    /// is; [`ModelGrads::merge`] in stage order rebuilds the full set.
     pub grads: ModelGrads,
     /// Peak live activation bytes on this stage.
     pub peak_bytes: usize,
@@ -414,7 +423,7 @@ impl PipelineRuntime {
         if let Some(e) = first_err {
             return Err(e);
         }
-        let mut grads = ModelGrads::zeros(model);
+        let mut grads = ModelGrads::empty(model.layers.len());
         let mut loss = 0.0f64;
         let mut peaks = vec![0usize; p];
         let mut drained = vec![0usize; p];
@@ -437,8 +446,10 @@ impl PipelineRuntime {
             if oom.is_none() {
                 oom = out.oom;
             }
-            add_grads(&mut grads, &out.grads, 1.0);
+            grads.merge(out.grads);
         }
+        // A complete schedule runs every parameter's backward somewhere.
+        debug_assert!(grads.tensors().all(|t| !t.is_empty()), "unwritten gradient");
         Ok(RunStats {
             loss,
             grads,
@@ -658,7 +669,14 @@ struct WorkerCtx<'m> {
     ep: Box<dyn Endpoint>,
     batch: Arc<Vec<Vec<usize>>>,
     mode: WgradMode,
+    // This stage's gradient shard: a tensor is allocated (zeroed) on the
+    // stage's first write to it.
     grads: ModelGrads,
+    // Packed images of the weights this stage multiplies by, built on
+    // first use and dropped with the stage at the end of the iteration
+    // (the weights are fixed until then). Not charged to `mem`: they are
+    // weight copies, not activations.
+    images: WeightImages,
     // (mb, chunk, layer-in-chunk) KV caches and dKV accumulators.
     kvs: HashMap<(usize, usize, usize), Kv>,
     dkvs: HashMap<(usize, usize, usize), Kv>,
@@ -715,7 +733,8 @@ impl<'m> WorkerCtx<'m> {
             ep,
             batch,
             mode,
-            grads: ModelGrads::zeros(model),
+            grads: ModelGrads::empty(model.layers.len()),
+            images: WeightImages::new(model.layers.len()),
             kvs: HashMap::new(),
             dkvs: HashMap::new(),
             saves: HashMap::new(),
@@ -755,6 +774,16 @@ impl<'m> WorkerCtx<'m> {
             start_ns,
             end,
         );
+    }
+
+    /// Layer `li`'s gradient, allocated zeroed on this stage's first
+    /// write to the layer (which writes all of its tensors).
+    fn layer_grads(&mut self, li: usize) -> &mut LayerParams {
+        let g = &mut self.grads.layers[li];
+        if g.wq.is_empty() {
+            *g = self.model.layers[li].zero_grads();
+        }
+        g
     }
 
     fn layers_of_chunk(&self, chunk: usize) -> (usize, usize) {
@@ -899,6 +928,7 @@ impl<'m> WorkerCtx<'m> {
             let (y, sv) = forward_slice(
                 &self.pool,
                 &self.model.layers[li],
+                self.images.forward(self.model, li),
                 &cur,
                 kv,
                 offset,
@@ -945,19 +975,20 @@ impl<'m> WorkerCtx<'m> {
                 .expect("final hidden saved");
             self.mem.free(hidden.bytes());
             let (normed, norm_saved) = rmsnorm_in(&self.pool, &hidden, &self.model.final_norm);
-            let logits = matmul_in(&self.pool, &normed, &self.model.head);
+            let logits =
+                matmul_packed_in(&self.pool, &normed, self.images.head_forward(self.model));
             let targets = &self.batch[mb][offset + 1..offset + ts + 1];
             let ce = cross_entropy_in(&self.pool, &logits, targets);
             self.loss_sum += ce.loss_sum / (total_tokens * n_batch) as f64;
             let mut dlogits = ce.dlogits;
             dlogits.scale(1.0 / (total_tokens * n_batch) as f32);
-            self.grads
-                .head
-                .add_assign(&matmul_wgrad_in(&self.pool, &normed, &dlogits));
-            let d_normed = matmul_dgrad_in(&self.pool, &dlogits, &self.model.head);
+            let head_grad = zeroed(&mut self.grads.head, &self.model.head);
+            matmul_wgrad_acc_in(&self.pool, &normed, &dlogits, head_grad);
+            let d_normed =
+                matmul_packed_in(&self.pool, &dlogits, self.images.head_dgrad(self.model));
             let (dh, dfn) =
                 rmsnorm_backward_in(&self.pool, &d_normed, &self.model.final_norm, &norm_saved);
-            self.grads.final_norm.add_assign(&dfn);
+            zeroed(&mut self.grads.final_norm, &self.model.final_norm).add_assign(&dfn);
             dh
         } else {
             let t = self.recv_tagged(false, mb, slice, g)?;
@@ -980,6 +1011,7 @@ impl<'m> WorkerCtx<'m> {
             let out = backward_input_slice(
                 &self.pool,
                 &self.model.layers[li],
+                self.images.dgrad(self.model, li),
                 &saves[li - lo],
                 kv,
                 dkv,
@@ -989,8 +1021,9 @@ impl<'m> WorkerCtx<'m> {
                 let bytes = dkv.bytes();
                 self.charge(bytes);
             }
-            self.grads.layers[li].norm1.add_assign(&out.dnorm1);
-            self.grads.layers[li].norm2.add_assign(&out.dnorm2);
+            let lg = self.layer_grads(li);
+            lg.norm1.add_assign(&out.dnorm1);
+            lg.norm2.add_assign(&out.dnorm2);
             match self.mode {
                 WgradMode::Immediate => {
                     apply_wgrads(&self.pool, &mut self.grads.layers[li], &out.wgrads)
@@ -1022,8 +1055,7 @@ impl<'m> WorkerCtx<'m> {
 
         if g == 0 {
             let toks = &self.batch[mb][offset..offset + ts];
-            self.grads
-                .embedding
+            zeroed(&mut self.grads.embedding, &self.model.embedding)
                 .add_assign(&embedding_backward(&dy, toks, self.model.cfg.vocab));
             self.note_compute(span, mb, slice, chunk, c0);
         } else {
@@ -1083,6 +1115,14 @@ impl<'m> WorkerCtx<'m> {
             trace: self.tracer.finish(),
         }
     }
+}
+
+/// `g`, allocated zeroed at `like`'s shape if this is its first write.
+fn zeroed<'a>(g: &'a mut Tensor, like: &Tensor) -> &'a mut Tensor {
+    if g.is_empty() {
+        *g = Tensor::zeros(like.rows(), like.cols());
+    }
+    g
 }
 
 #[cfg(test)]

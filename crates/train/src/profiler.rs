@@ -19,7 +19,7 @@ use mepipe_sim::SimCost;
 use mepipe_tensor::{init, KernelPool, Tensor, TensorArena};
 
 use crate::{
-    layer::{apply_wgrads, backward_input_slice, forward_slice, Kv},
+    layer::{apply_wgrads, backward_input_slice, forward_slice, Kv, WeightImages},
     params::ModelParams,
 };
 
@@ -95,6 +95,9 @@ pub fn profile_chunk_in(
     // executes, which is what the profiled times should reflect.
     let mut arena = TensorArena::new();
     let _arena_scope = arena.install();
+    // Weight images, packed in the first trial and reused after it, as a
+    // pipeline stage reuses them across the slices of an iteration.
+    let mut images = WeightImages::new(model.layers.len());
 
     let mut forward = vec![f64::INFINITY; slices];
     let mut backward_input = vec![f64::INFINITY; slices];
@@ -113,7 +116,9 @@ pub fn profile_chunk_in(
             let mut cur = x.clone();
             let mut per_layer = Vec::with_capacity(layers_per_chunk);
             for (li, kv) in kvs.iter_mut().enumerate() {
-                let (y, sv) = forward_slice(pool, &model.layers[li], &cur, kv, sl * ts, cfg.heads);
+                let w = images.forward(model, li);
+                let (y, sv) =
+                    forward_slice(pool, &model.layers[li], w, &cur, kv, sl * ts, cfg.heads);
                 per_layer.push(sv);
                 cur = y;
             }
@@ -134,6 +139,7 @@ pub fn profile_chunk_in(
                 let out = backward_input_slice(
                     pool,
                     &model.layers[li],
+                    images.dgrad(model, li),
                     &saves[sl][li],
                     &kvs[li],
                     &mut dkvs[li],

@@ -3,14 +3,14 @@
 
 use mepipe_tensor::{
     ops::{
-        cross_entropy_in, embedding, embedding_backward, matmul_dgrad_in, matmul_in,
-        matmul_wgrad_in, rmsnorm_backward_in, rmsnorm_in,
+        cross_entropy_in, embedding, embedding_backward, matmul_packed_in, matmul_wgrad_acc_in,
+        rmsnorm_backward_in, rmsnorm_in,
     },
-    KernelPool, Tensor, TensorArena,
+    KernelPool, TensorArena,
 };
 
 use crate::{
-    layer::{apply_wgrads, backward_input_slice, forward_slice, Kv},
+    layer::{apply_wgrads, backward_input_slice, forward_slice, Kv, WeightImages},
     optim::ModelGrads,
     params::ModelParams,
 };
@@ -46,6 +46,18 @@ pub fn forward_backward_in(
     model: &ModelParams,
     tokens: &[usize],
 ) -> ReferenceOut {
+    let mut images = WeightImages::new(model.layers.len());
+    sample_forward_backward(pool, model, &mut images, tokens)
+}
+
+/// One sample's forward and backward, with every weight GEMM on `images`
+/// (packed from `model`'s current weights).
+fn sample_forward_backward(
+    pool: &KernelPool,
+    model: &ModelParams,
+    images: &mut WeightImages,
+    tokens: &[usize],
+) -> ReferenceOut {
     assert!(tokens.len() >= 2, "need at least two tokens");
     let t = tokens.len() - 1;
     let inputs = &tokens[..t];
@@ -60,30 +72,37 @@ pub fn forward_backward_in(
     let mut kvs: Vec<Kv> = (0..model.layers.len()).map(|_| Kv::default()).collect();
     let mut saves = Vec::with_capacity(model.layers.len());
     for (li, lp) in model.layers.iter().enumerate() {
-        let (y, sv) = forward_slice(pool, lp, &x, &mut kvs[li], 0, heads);
+        let w = images.forward(model, li);
+        let (y, sv) = forward_slice(pool, lp, w, &x, &mut kvs[li], 0, heads);
         saves.push(sv);
         x = y;
     }
     let (normed, norm_saved) = rmsnorm_in(pool, &x, &model.final_norm);
-    let logits = matmul_in(pool, &normed, &model.head);
+    let logits = matmul_packed_in(pool, &normed, images.head_forward(model));
     let ce = cross_entropy_in(pool, &logits, targets);
     let loss = ce.loss_sum / t as f64;
 
     // Backward. Loss gradient is already d(loss_sum); scale to mean.
     let mut dlogits = ce.dlogits;
     dlogits.scale(1.0 / t as f32);
-    grads
-        .head
-        .add_assign(&matmul_wgrad_in(pool, &normed, &dlogits));
-    let d_normed = matmul_dgrad_in(pool, &dlogits, &model.head);
+    matmul_wgrad_acc_in(pool, &normed, &dlogits, &mut grads.head);
+    let d_normed = matmul_packed_in(pool, &dlogits, images.head_dgrad(model));
     let (mut dy, d_final_norm) =
         rmsnorm_backward_in(pool, &d_normed, &model.final_norm, &norm_saved);
     grads.final_norm.add_assign(&d_final_norm);
 
     for li in (0..model.layers.len()).rev() {
         let mut dkv = Kv::default();
-        let out =
-            backward_input_slice(pool, &model.layers[li], &saves[li], &kvs[li], &mut dkv, &dy);
+        let w = images.dgrad(model, li);
+        let out = backward_input_slice(
+            pool,
+            &model.layers[li],
+            w,
+            &saves[li],
+            &kvs[li],
+            &mut dkv,
+            &dy,
+        );
         apply_wgrads(pool, &mut grads.layers[li], &out.wgrads);
         grads.layers[li].norm1.add_assign(&out.dnorm1);
         grads.layers[li].norm2.add_assign(&out.dnorm2);
@@ -114,10 +133,12 @@ pub fn batch_forward_backward_in(
     // returned gradients are plain owned tensors — they outlive the scope.
     let mut arena = TensorArena::new();
     let _arena_scope = arena.install();
+    // The weights do not change within the batch: pack them once.
+    let mut images = WeightImages::new(model.layers.len());
     let mut total = ModelGrads::zeros(model);
     let mut loss = 0.0;
     for sample in batch {
-        let out = forward_backward_in(pool, model, sample);
+        let out = sample_forward_backward(pool, model, &mut images, sample);
         loss += out.loss;
         add_grads(&mut total, &out.grads, 1.0 / batch.len() as f32);
     }
@@ -127,27 +148,14 @@ pub fn batch_forward_backward_in(
     }
 }
 
-/// `acc += scale * g` over a full gradient set.
+/// `acc += scale * g` into a full gradient set; an empty tensor in `g`
+/// (a parameter a shard did not write) adds nothing.
 pub fn add_grads(acc: &mut ModelGrads, g: &ModelGrads, scale: f32) {
-    let scaled_add = |a: &mut Tensor, b: &Tensor| {
+    for (a, b) in acc.tensors_mut().zip(g.tensors()) {
         for (x, y) in a.data_mut().iter_mut().zip(b.data()) {
             *x += scale * y;
         }
-    };
-    scaled_add(&mut acc.embedding, &g.embedding);
-    for (al, gl) in acc.layers.iter_mut().zip(&g.layers) {
-        scaled_add(&mut al.wq, &gl.wq);
-        scaled_add(&mut al.wk, &gl.wk);
-        scaled_add(&mut al.wv, &gl.wv);
-        scaled_add(&mut al.wo, &gl.wo);
-        scaled_add(&mut al.wg, &gl.wg);
-        scaled_add(&mut al.wu, &gl.wu);
-        scaled_add(&mut al.wd, &gl.wd);
-        scaled_add(&mut al.norm1, &gl.norm1);
-        scaled_add(&mut al.norm2, &gl.norm2);
     }
-    scaled_add(&mut acc.final_norm, &g.final_norm);
-    scaled_add(&mut acc.head, &g.head);
 }
 
 #[cfg(test)]

@@ -35,6 +35,10 @@ echo "==> training benchmark smoke (fine_uds for 3 s; exits non-zero if the pipe
 cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload fine_uds --seed 1 --seconds 3 --trace 0
 
+echo "==> GEMM-bound training smoke (coarse_inproc for 3 s; exits non-zero if the pipeline-vs-reference loss, identical set-ups or loss-record check fails)"
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload coarse_inproc --seed 1 --seconds 3 --trace 0
+
 echo "==> train bench smoke (one untimed pipeline iteration)"
 cargo bench -p mepipe-bench --bench train -- --smoke
 
